@@ -6,10 +6,13 @@
 #ifndef COLDSTART_PLATFORM_POLICY_HOOKS_H_
 #define COLDSTART_PLATFORM_POLICY_HOOKS_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
 
+#include "common/check.h"
 #include "common/sim_time.h"
 #include "platform/load_state.h"
 #include "workload/function_model.h"
@@ -114,8 +117,9 @@ class PlatformPolicy {
   //
   // Implementer contract (statically checked: coldstart_lint's policy-hooks
   // rule flags stateful subclasses missing these overrides, and its
-  // unordered-iter rule polices (a)): (a) serialize hash-map contents in a
-  // sorted order — iteration order must never leak into the blob; (b) floating-point state
+  // unordered-iter rule polices (a)): (a) serialize per-function state in
+  // ascending function id (restore it through NextAscendingFid below) —
+  // hash iteration order must never leak into the blob; (b) floating-point state
   // travels by bit pattern (common/byte_serde.h); (c) a checkpointable policy
   // must not schedule its own simulator closures — pending closures cannot be
   // captured (TimerAwarePrewarmPolicy stays non-checkpointable for exactly that
@@ -133,6 +137,18 @@ class PlatformPolicy {
     return false;
   }
 };
+
+// Restore-side check for a blob section that SavePolicyState writes in
+// strictly ascending function id: `raw` is the id just read, `prev` the
+// section's previous id (-1 before the first). A repeated or descending id is a
+// corrupt blob — accepting it would silently overwrite an earlier entry — and
+// dies here; otherwise `prev` advances and the id comes back typed.
+inline trace::FunctionId NextAscendingFid(uint64_t raw, int64_t& prev) {
+  COLDSTART_CHECK(raw <= std::numeric_limits<trace::FunctionId>::max() &&
+                  static_cast<int64_t>(raw) > prev);
+  prev = static_cast<int64_t>(raw);
+  return static_cast<trace::FunctionId>(raw);
+}
 
 }  // namespace coldstart::platform
 

@@ -28,19 +28,51 @@ void InterArrivalForecaster::ObserveArrival(SimTime now) {
   if (last_arrival_ >= 0) {
     const SimDuration iat = now - last_arrival_;
     if (iat > 0) {
+      int evicted = -1;
+      int64_t old = 0;
       if (filled_ == ring_.size()) {
-        hist_[static_cast<size_t>(BucketOf(ring_[next_]))] -= 1;  // Evict.
+        old = ring_[next_];
+        evicted = BucketOf(old);
+        hist_[static_cast<size_t>(evicted)] -= 1;
+        ring_sum_ -= old;
       }
       ring_[next_] = iat;
-      hist_[static_cast<size_t>(BucketOf(iat))] += 1;
+      const int b = BucketOf(iat);
+      hist_[static_cast<size_t>(b)] += 1;
+      ring_sum_ += iat;
       next_ = (next_ + 1) % ring_.size();
       filled_ = std::min<uint64_t>(filled_ + 1, ring_.size());
+      // Only the two touched buckets changed. A sample leaving the modal
+      // bucket for another may hand the lead to any bucket, so rescan; else
+      // the new sample's bucket takes over only if it now beats the modal
+      // one under the lowest-on-ties rule.
+      const int was_modal = modal_;
+      if (evicted == modal_ && b != modal_) {
+        modal_ = ScanModalBucket();
+      } else if (modal_ < 0 ||
+                 hist_[static_cast<size_t>(b)] > hist_[static_cast<size_t>(modal_)] ||
+                 (hist_[static_cast<size_t>(b)] == hist_[static_cast<size_t>(modal_)] &&
+                  b < modal_)) {
+        modal_ = b;
+      }
+      // A moved neighborhood covers other samples; a steady one only gains or
+      // loses the two touched ones.
+      if (modal_ != was_modal) {
+        neighborhood_sum_ = ScanNeighborhoodSum();
+      } else {
+        if (evicted >= 0 && InNeighborhood(evicted)) {
+          neighborhood_sum_ -= old;
+        }
+        if (InNeighborhood(b)) {
+          neighborhood_sum_ += iat;
+        }
+      }
     }
   }
   last_arrival_ = now;
 }
 
-int InterArrivalForecaster::ModalBucket() const {
+int InterArrivalForecaster::ScanModalBucket() const {
   if (filled_ == 0) {
     return -1;
   }
@@ -53,17 +85,30 @@ int InterArrivalForecaster::ModalBucket() const {
   return best;
 }
 
+uint64_t InterArrivalForecaster::NeighborhoodCount() const {
+  uint64_t count = 0;
+  for (int b = std::max(0, modal_ - 1); b <= std::min(kNumBuckets - 1, modal_ + 1);
+       ++b) {
+    count += hist_[static_cast<size_t>(b)];
+  }
+  return count;
+}
+
+int64_t InterArrivalForecaster::ScanNeighborhoodSum() const {
+  int64_t sum = 0;
+  for (uint64_t i = 0; i < filled_; ++i) {
+    if (InNeighborhood(BucketOf(ring_[i]))) {
+      sum += ring_[i];
+    }
+  }
+  return sum;
+}
+
 double InterArrivalForecaster::Confidence() const {
   if (filled_ < static_cast<uint64_t>(options_.min_samples)) {
     return 0.0;
   }
-  const int modal = ModalBucket();
-  uint64_t mass = 0;
-  for (int b = std::max(0, modal - 1); b <= std::min(kNumBuckets - 1, modal + 1);
-       ++b) {
-    mass += hist_[static_cast<size_t>(b)];
-  }
-  return static_cast<double>(mass) / static_cast<double>(filled_);
+  return static_cast<double>(NeighborhoodCount()) / static_cast<double>(filled_);
 }
 
 bool InterArrivalForecaster::Confident() const {
@@ -74,33 +119,19 @@ SimDuration InterArrivalForecaster::PredictedIat() const {
   if (filled_ < static_cast<uint64_t>(options_.min_samples)) {
     return 0;
   }
-  const int modal = ModalBucket();
   // Exact integer mean of the window samples inside the modal neighborhood:
   // a trimmed mean that is exact for strict timers and immune to the stray
   // multi-hour gap that would wreck a plain average.
-  int64_t sum = 0;
-  int64_t count = 0;
-  for (uint64_t i = 0; i < filled_; ++i) {
-    const int64_t iat = ring_[i];
-    const int b = BucketOf(iat);
-    if (b >= modal - 1 && b <= modal + 1) {
-      sum += iat;
-      ++count;
-    }
-  }
+  const auto count = static_cast<int64_t>(NeighborhoodCount());
   COLDSTART_CHECK_GT(count, 0);
-  return sum / count;
+  return neighborhood_sum_ / count;
 }
 
 SimDuration InterArrivalForecaster::MeanIat() const {
   if (filled_ == 0) {
     return 0;
   }
-  int64_t sum = 0;
-  for (uint64_t i = 0; i < filled_; ++i) {
-    sum += ring_[i];
-  }
-  return sum / static_cast<int64_t>(filled_);
+  return ring_sum_ / static_cast<int64_t>(filled_);
 }
 
 SimTime InterArrivalForecaster::PredictNextArrival() const {
@@ -146,18 +177,28 @@ void InterArrivalForecaster::RestoreState(ByteReader& r) {
   next_ = r.U64();
   filled_ = r.U64();
   COLDSTART_CHECK(filled_ <= ring_.size() && next_ < ring_.size());
+  // A partly filled ring has been written front to back, so its cursor sits
+  // right after the last sample.
+  COLDSTART_CHECK(filled_ == ring_.size() || next_ == filled_);
   for (int64_t& iat : ring_) {
     iat = r.I64();
   }
   for (uint32_t& c : hour_counts_) {
     c = r.U32();
   }
-  // The histogram is derived state: rebuild it from the restored window. Slots
-  // [0, filled_) are exactly the live samples regardless of next_.
+  // Derived state: rebuild it from the restored window. Slots [0, filled_)
+  // are exactly the live samples regardless of next_, and every one of them
+  // is a positive IAT (ObserveArrival drops the rest).
   hist_.fill(0);
+  ring_sum_ = 0;
   for (uint64_t i = 0; i < filled_; ++i) {
-    hist_[static_cast<size_t>(BucketOf(ring_[i]))] += 1;
+    const int64_t iat = ring_[i];
+    COLDSTART_CHECK_GT(iat, 0);
+    hist_[static_cast<size_t>(BucketOf(iat))] += 1;
+    ring_sum_ += iat;
   }
+  modal_ = ScanModalBucket();
+  neighborhood_sum_ = ScanNeighborhoodSum();
 }
 
 // --- ForecastPrewarmPolicy. -------------------------------------------------
@@ -186,10 +227,34 @@ ForecastPrewarmPolicy::ForecastPrewarmPolicy()
 ForecastPrewarmPolicy::ForecastPrewarmPolicy(Options options)
     : options_(options) {}
 
+void ForecastPrewarmPolicy::Cover(trace::FunctionId fid) {
+  if (fid >= slot_of_.size()) {
+    slot_of_.resize(fid + size_t{1}, 0);
+    pending_.resize(fid + size_t{1}, -1);
+  }
+}
+
+InterArrivalForecaster& ForecastPrewarmPolicy::Track(trace::FunctionId fid) {
+  Cover(fid);
+  uint32_t& slot = slot_of_[fid];
+  if (slot == 0) {
+    forecasters_.emplace_back(options_.forecaster);
+    slot = static_cast<uint32_t>(forecasters_.size());
+  }
+  return forecasters_[slot - 1];
+}
+
+const InterArrivalForecaster* ForecastPrewarmPolicy::Find(
+    trace::FunctionId fid) const {
+  if (fid >= slot_of_.size() || slot_of_[fid] == 0) {
+    return nullptr;
+  }
+  return &forecasters_[slot_of_[fid] - 1];
+}
+
 void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
                                       SimTime now) {
-  auto& forecaster =
-      forecasters_.try_emplace(spec.id, options_.forecaster).first->second;
+  InterArrivalForecaster& forecaster = Track(spec.id);
   forecaster.ObserveArrival(now);
 
   // Re-arm (or disarm) this function's pending fire: every arrival refreshes
@@ -214,26 +279,24 @@ void ForecastPrewarmPolicy::OnArrival(const workload::FunctionSpec& spec,
       fire = t;
     }
   }
-  if (fire >= 0) {
-    pending_[spec.id] = fire;
-  } else {
-    pending_.erase(spec.id);
-  }
+  pending_[spec.id] = fire;  // -1 disarms.
 }
 
 void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
   COLDSTART_CHECK(platform_ != nullptr);
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const SimTime fire = it->second;
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    SimTime& fire = pending_[i];
+    if (fire < 0) {
+      continue;  // Disarmed.
+    }
     if (fire <= now) {
-      it = pending_.erase(it);  // Stale: the fire (or a miss) already passed.
+      fire = -1;  // Stale: the fire (or a miss) already passed.
       continue;
     }
     if (fire - now > kMinute + options_.lead_time) {
-      ++it;  // Not this tick; a later tick is still ahead of the fire.
-      continue;
+      continue;  // Not this tick; a later tick is still ahead of the fire.
     }
-    const trace::FunctionId fid = it->first;
+    const auto fid = static_cast<trace::FunctionId>(i);
     if (!platform_->HasAvailablePod(fid)) {
       // Survive until just past the predicted fire; a correct prediction is
       // served warm, a miss dies post_fire_margin later.
@@ -241,17 +304,17 @@ void ForecastPrewarmPolicy::OnMinuteTick(SimTime now) {
                                    (fire - now) + options_.post_fire_margin);
       ++prewarms_issued_;
     }
-    it = pending_.erase(it);  // One shot; the served arrival re-arms.
+    fire = -1;  // One shot; the served arrival re-arms.
   }
 }
 
 SimDuration ForecastPrewarmPolicy::KeepAliveFor(const workload::FunctionSpec& spec,
                                                 SimTime) {
-  const auto it = forecasters_.find(spec.id);
-  if (it == forecasters_.end() || !it->second.Confident()) {
+  const InterArrivalForecaster* forecaster = Find(spec.id);
+  if (forecaster == nullptr || !forecaster->Confident()) {
     return options_.default_keep_alive;
   }
-  const SimDuration iat = it->second.PredictedIat();
+  const SimDuration iat = forecaster->PredictedIat();
   if (iat <= options_.prewarm_min_iat) {
     // Dynamic keep-alive move: cover the predicted gap with headroom. This
     // both extends (IAT slightly over the default window) and shrinks
@@ -282,51 +345,60 @@ void ForecastPrewarmPolicy::AbsorbShardStats(
 }
 
 bool ForecastPrewarmPolicy::SavePolicyState(std::string* out) const {
-  // Forecasters serialize sorted by function id: unordered_map iteration
-  // order must not reach the blob (pending_ is a std::map, already ordered).
-  std::vector<trace::FunctionId> fids;
-  fids.reserve(forecasters_.size());
-  // LINT-ALLOW(unordered-iter): keys are copied out and sorted before any byte is written
-  for (const auto& [fid, forecaster] : forecasters_) {
-    fids.push_back(fid);
-  }
-  std::sort(fids.begin(), fids.end());
+  // Two sections, each in ascending function id: the armed fires, then the
+  // forecasters of every seen function.
+  const auto armed = static_cast<uint64_t>(
+      std::count_if(pending_.begin(), pending_.end(),
+                    [](SimTime fire) { return fire >= 0; }));
   ByteWriter w;
   w.I64(prewarms_issued_);
   w.I64(keepalive_extended_);
   w.I64(keepalive_curtailed_);
-  w.U64(pending_.size());
-  for (const auto& [fid, fire] : pending_) {
-    w.U64(fid);
-    w.I64(fire);
+  w.U64(armed);
+  for (size_t fid = 0; fid < pending_.size(); ++fid) {
+    if (pending_[fid] >= 0) {
+      w.U64(fid);
+      w.I64(pending_[fid]);
+    }
   }
-  w.U64(fids.size());
-  for (const trace::FunctionId fid : fids) {
-    w.U64(fid);
-    forecasters_.at(fid).SaveState(w);
+  w.U64(forecasters_.size());
+  for (size_t fid = 0; fid < slot_of_.size(); ++fid) {
+    if (slot_of_[fid] != 0) {
+      w.U64(fid);
+      forecasters_[slot_of_[fid] - 1].SaveState(w);
+    }
   }
   *out = w.Take();
   return true;
 }
 
 bool ForecastPrewarmPolicy::RestorePolicyState(std::string_view blob) {
-  COLDSTART_CHECK(forecasters_.empty() && pending_.empty());
+  COLDSTART_CHECK(slot_of_.empty());
   ByteReader r(blob);
   prewarms_issued_ = r.I64();
   keepalive_extended_ = r.I64();
   keepalive_curtailed_ = r.I64();
   const uint64_t armed = r.U64();
+  int64_t prev = -1;
   for (uint64_t i = 0; i < armed; ++i) {
-    const auto fid = static_cast<trace::FunctionId>(r.U64());
-    pending_[fid] = r.I64();
+    const trace::FunctionId fid = platform::NextAscendingFid(r.U64(), prev);
+    const SimTime fire = r.I64();
+    // Every fire lies strictly after the arrival that armed it.
+    COLDSTART_CHECK_GT(fire, 0);
+    Cover(fid);
+    pending_[fid] = fire;
   }
   const uint64_t n = r.U64();
+  prev = -1;
   for (uint64_t i = 0; i < n; ++i) {
-    const auto fid = static_cast<trace::FunctionId>(r.U64());
-    forecasters_.try_emplace(fid, options_.forecaster)
-        .first->second.RestoreState(r);
+    const trace::FunctionId fid = platform::NextAscendingFid(r.U64(), prev);
+    Track(fid).RestoreState(r);
   }
   COLDSTART_CHECK(r.AtEnd());
+  // Only an arrival arms a fire, so every armed function has a forecaster.
+  for (size_t fid = 0; fid < pending_.size(); ++fid) {
+    COLDSTART_CHECK(pending_[fid] < 0 || slot_of_[fid] != 0);
+  }
   return true;
 }
 

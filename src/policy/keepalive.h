@@ -8,7 +8,7 @@
 #define COLDSTART_POLICY_KEEPALIVE_H_
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "platform/policy_hooks.h"
 
@@ -40,19 +40,19 @@ class DynamicKeepAlivePolicy : public platform::PlatformPolicy {
   bool is_function_local() const override { return true; }
 
   // Checkpointable: the learned state is the per-function IAT table, serialized
-  // sorted by function id.
+  // in ascending function id.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
 
  private:
   struct History {
-    SimTime last_arrival = -1;
+    SimTime last_arrival = -1;  // -1 while the function is unseen.
     double iat_ewma = 0;
     int observations = 0;
   };
 
   Options options_;
-  std::unordered_map<trace::FunctionId, History> history_;
+  std::vector<History> history_;  // Indexed by function id.
 };
 
 }  // namespace coldstart::policy

@@ -1,8 +1,6 @@
 #include "policy/workflow_prewarm.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
 #include "common/byte_serde.h"
 #include "common/check.h"
@@ -21,8 +19,11 @@ void WorkflowPrewarmPolicy::OnParentRequestStart(const workload::FunctionSpec& p
     if (edge.probability < options_.min_edge_probability) {
       continue;
     }
-    const auto it = last_prewarm_.find(edge.child);
-    if (it != last_prewarm_.end() && now - it->second < options_.per_child_cooldown) {
+    if (edge.child >= last_prewarm_.size()) {
+      last_prewarm_.resize(edge.child + size_t{1}, -1);
+    }
+    SimTime& last = last_prewarm_[edge.child];
+    if (last >= 0 && now - last < options_.per_child_cooldown) {
       continue;
     }
     if (platform_->HasAvailablePod(edge.child)) {
@@ -30,23 +31,23 @@ void WorkflowPrewarmPolicy::OnParentRequestStart(const workload::FunctionSpec& p
     }
     const workload::FunctionSpec& child = platform_->spec(edge.child);
     platform_->SpawnPrewarmedPod(edge.child, child.region, options_.prewarm_keep_alive);
-    last_prewarm_[edge.child] = now;
+    last = now;
     ++prewarms_issued_;
   }
 }
 
 bool WorkflowPrewarmPolicy::SavePolicyState(std::string* out) const {
-  // LINT-ALLOW(unordered-iter): entries are copied out and sorted by function id before any byte is written
-  std::vector<std::pair<trace::FunctionId, SimTime>> entries(last_prewarm_.begin(),
-                                                             last_prewarm_.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Prewarmed children only, in ascending function id.
+  const auto prewarmed = static_cast<uint64_t>(std::count_if(
+      last_prewarm_.begin(), last_prewarm_.end(), [](SimTime t) { return t >= 0; }));
   ByteWriter w;
   w.I64(prewarms_issued_);
-  w.U64(entries.size());
-  for (const auto& [child, t] : entries) {
-    w.U64(child);
-    w.I64(t);
+  w.U64(prewarmed);
+  for (size_t child = 0; child < last_prewarm_.size(); ++child) {
+    if (last_prewarm_[child] >= 0) {
+      w.U64(child);
+      w.I64(last_prewarm_[child]);
+    }
   }
   *out = w.Take();
   return true;
@@ -57,9 +58,13 @@ bool WorkflowPrewarmPolicy::RestorePolicyState(std::string_view blob) {
   ByteReader r(blob);
   prewarms_issued_ = r.I64();
   const uint64_t n = r.U64();
+  int64_t prev = -1;
   for (uint64_t i = 0; i < n; ++i) {
-    const auto child = static_cast<trace::FunctionId>(r.U64());
+    const trace::FunctionId child = platform::NextAscendingFid(r.U64(), prev);
+    last_prewarm_.resize(child + size_t{1}, -1);
     last_prewarm_[child] = r.I64();
+    // Prewarm times are simulation times, never negative.
+    COLDSTART_CHECK_GE(last_prewarm_[child], 0);
   }
   COLDSTART_CHECK(r.AtEnd());
   return true;

@@ -8,7 +8,7 @@
 #define COLDSTART_POLICY_WORKFLOW_PREWARM_H_
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "platform/platform.h"
 
@@ -44,7 +44,7 @@ class WorkflowPrewarmPolicy : public platform::PlatformPolicy {
 
   int64_t prewarms_issued() const { return prewarms_issued_; }
 
-  // Checkpointable: the cooldown table (sorted by child id) and the prewarm
+  // Checkpointable: the cooldown table (in ascending child id) and the prewarm
   // counter; platform_ is re-wired by OnAttach on the resumed platform.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
@@ -52,7 +52,8 @@ class WorkflowPrewarmPolicy : public platform::PlatformPolicy {
  private:
   Options options_;
   platform::Platform* platform_ = nullptr;
-  std::unordered_map<trace::FunctionId, SimTime> last_prewarm_;
+  // Last prewarm time per child function id, -1 for never.
+  std::vector<SimTime> last_prewarm_;
   int64_t prewarms_issued_ = 0;
 };
 

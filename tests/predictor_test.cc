@@ -4,15 +4,18 @@
 // ForecastPrewarmPolicy acts on. Complements the scenario-level checks in
 // policy_test.cc with exact, input-controlled expectations: ring wraparound,
 // partially-filled windows, sum drift over long streams, season boundaries,
-// warm-up and fixed-point behavior, bucket geometry, confidence gating, and
-// bit-exact serde round trips.
+// warm-up and fixed-point behavior, bucket geometry, confidence gating,
+// bit-exact serde round trips, and a randomized check of the forecaster's
+// incrementally maintained answers against a brute-force rescan of its ring.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/byte_serde.h"
+#include "common/rng.h"
 #include "policy/forecast.h"
 #include "policy/predictors.h"
 
@@ -335,6 +338,133 @@ TEST(InterArrivalForecasterTest, SerdeRoundTripBitExact) {
   f.SaveState(w3);
   restored.SaveState(w4);
   EXPECT_EQ(w3.data(), w4.data());
+}
+
+// --- InterArrivalForecaster: incremental state == brute force. --------------
+
+// The live window as SaveState writes it: slots [0, filled) of the ring.
+std::vector<int64_t> LiveSamples(const InterArrivalForecaster& f, int window) {
+  ByteWriter w;
+  f.SaveState(w);
+  ByteReader r(w.data());
+  r.I64();  // last_arrival
+  r.U64();  // next
+  const uint64_t filled = r.U64();
+  std::vector<int64_t> ring(static_cast<size_t>(window));
+  for (int64_t& iat : ring) {
+    iat = r.I64();
+  }
+  ring.resize(filled);
+  return ring;
+}
+
+// The forecaster's answers recomputed from scratch over the live samples.
+struct BruteForceAnswers {
+  int modal = -1;
+  double confidence = 0;
+  int64_t predicted_iat = 0;
+  int64_t mean_iat = 0;
+};
+
+BruteForceAnswers BruteForce(const std::vector<int64_t>& samples, int min_samples) {
+  BruteForceAnswers a;
+  if (samples.empty()) {
+    return a;
+  }
+  std::array<uint32_t, InterArrivalForecaster::kNumBuckets> hist{};
+  int64_t total = 0;
+  for (const int64_t iat : samples) {
+    hist[static_cast<size_t>(InterArrivalForecaster::BucketOf(iat))] += 1;
+    total += iat;
+  }
+  a.modal = 0;
+  for (int b = 1; b < InterArrivalForecaster::kNumBuckets; ++b) {
+    if (hist[static_cast<size_t>(b)] > hist[static_cast<size_t>(a.modal)]) {
+      a.modal = b;
+    }
+  }
+  const auto n = static_cast<int64_t>(samples.size());
+  a.mean_iat = total / n;
+  if (n < min_samples) {
+    return a;
+  }
+  int64_t count = 0;
+  int64_t sum = 0;
+  for (const int64_t iat : samples) {
+    const int b = InterArrivalForecaster::BucketOf(iat);
+    if (b >= a.modal - 1 && b <= a.modal + 1) {
+      ++count;
+      sum += iat;
+    }
+  }
+  a.confidence = static_cast<double>(count) / static_cast<double>(n);
+  a.predicted_iat = sum / count;
+  return a;
+}
+
+// Draws the next IAT from one of five regimes: a jittered timer, exponential
+// gaps, tiny IATs (0 included, which adds no sample), powers of two +-1 that
+// straddle bucket edges, and multi-day gaps.
+SimDuration NextIat(Rng& rng, int regime) {
+  switch (regime) {
+    case 0:
+      return 5 * kMinute + static_cast<SimDuration>(rng.NextBounded(2 * kSecond));
+    case 1:
+      return 1 + static_cast<SimDuration>(rng.NextExponential(1.0 / (10.0 * kMinute)));
+    case 2:
+      return static_cast<SimDuration>(rng.NextBounded(4));
+    case 3:
+      return (SimDuration{1} << rng.NextBounded(40)) +
+             static_cast<SimDuration>(rng.NextBounded(3)) - 1;
+    default:
+      return 1 + static_cast<SimDuration>(rng.NextBounded(30 * kDay));
+  }
+}
+
+TEST(InterArrivalForecasterTest, IncrementalStateMatchesBruteForce) {
+  struct Case {
+    int window;
+    int min_samples;
+  };
+  // 6 x 20,000 observations, each window wrapped hundreds of times.
+  const Case cases[] = {{1, 1}, {2, 1}, {5, 3}, {16, 6}, {48, 6}, {64, 10}};
+  constexpr int kObservations = 20000;
+  Rng rng(2403);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "window " << c.window);
+    InterArrivalForecaster::Options options;
+    options.window = c.window;
+    options.min_samples = c.min_samples;
+    InterArrivalForecaster f(options);
+    SimTime t = 0;
+    int regime = 0;
+    int regime_left = 0;
+    for (int i = 0; i < kObservations; ++i) {
+      if (regime_left-- == 0) {
+        regime = static_cast<int>(rng.NextBounded(5));
+        regime_left = 1 + static_cast<int>(rng.NextBounded(200));
+      }
+      t += NextIat(rng, regime);
+      f.ObserveArrival(t);
+      if (i % 4999 == 4998) {
+        // Mid-stream checkpoint: carry on with the restored instance, whose
+        // derived state was rebuilt from the ring rather than maintained.
+        ByteWriter saved;
+        f.SaveState(saved);
+        InterArrivalForecaster restored(options);
+        ByteReader r(saved.data());
+        restored.RestoreState(r);
+        ASSERT_TRUE(r.AtEnd());
+        f = restored;
+      }
+      const BruteForceAnswers want = BruteForce(LiveSamples(f, c.window), c.min_samples);
+      ASSERT_EQ(f.ModalBucket(), want.modal) << "observation " << i;
+      ASSERT_EQ(f.Confidence(), want.confidence) << "observation " << i;
+      ASSERT_EQ(f.PredictedIat(), want.predicted_iat) << "observation " << i;
+      ASSERT_EQ(f.MeanIat(), want.mean_iat) << "observation " << i;
+    }
+    EXPECT_EQ(f.sample_count(), c.window);
+  }
 }
 
 }  // namespace
