@@ -1,6 +1,6 @@
 #include "analysis/fits.h"
 
-#include <algorithm>
+#include "common/check.h"
 
 namespace coldstart::analysis {
 
@@ -19,21 +19,35 @@ std::vector<stats::Ecdf> ColdStartTimeCdfs(const trace::TraceStore& store) {
   return out;
 }
 
-std::vector<stats::Ecdf> ColdStartInterArrivalCdfs(const trace::TraceStore& store) {
-  // Cold starts are sorted by timestamp after Seal(); track the previous event per
-  // region in one pass.
+namespace {
+
+// Calls emit(region, iat_seconds) for every positive gap between consecutive cold
+// starts of one region, in store order. The store must be sealed (time-ordered):
+// on an unsealed store an out-of-order pair would be a negative gap, silently
+// dropped.
+template <typename Emit>
+void ForEachColdStartInterArrival(const trace::TraceStore& store, const Emit& emit) {
+  COLDSTART_CHECK(store.sealed() && "inter-arrival times need the sealed time order");
   std::vector<SimTime> last(trace::kNumRegions, -1);
-  std::vector<std::vector<double>> samples(trace::kNumRegions + 1);
   for (const auto& c : store.cold_starts()) {
     if (last[c.region] >= 0) {
       const double iat = ToSeconds(c.timestamp - last[c.region]);
       if (iat > 0) {
-        samples[c.region].push_back(iat);
-        samples[trace::kNumRegions].push_back(iat);
+        emit(c.region, iat);
       }
     }
     last[c.region] = c.timestamp;
   }
+}
+
+}  // namespace
+
+std::vector<stats::Ecdf> ColdStartInterArrivalCdfs(const trace::TraceStore& store) {
+  std::vector<std::vector<double>> samples(trace::kNumRegions + 1);
+  ForEachColdStartInterArrival(store, [&samples](trace::RegionId region, double iat) {
+    samples[region].push_back(iat);
+    samples[trace::kNumRegions].push_back(iat);
+  });
   std::vector<stats::Ecdf> out;
   out.reserve(samples.size());
   for (auto& v : samples) {
@@ -54,14 +68,17 @@ DistributionFits FitColdStartDistributions(const trace::TraceStore& store) {
   }
   if (cs.size() >= 2) {
     fits.cold_start_lognormal = stats::FitLogNormalMle(cs);
-    std::sort(cs.begin(), cs.end());
+    stats::SortSamples(cs);
     fits.cold_start_quality = stats::EvaluateLogNormalFit(cs, fits.cold_start_lognormal);
     fits.cold_start_mean = fits.cold_start_lognormal.Mean();
     fits.cold_start_stddev = fits.cold_start_lognormal.StdDev();
   }
 
-  const auto iat_cdfs = ColdStartInterArrivalCdfs(store);
-  std::vector<double> iat = iat_cdfs.back().sorted_samples();
+  // Only the pooled inter-arrival sample is fitted.
+  std::vector<double> iat;
+  ForEachColdStartInterArrival(
+      store, [&iat](trace::RegionId /*region*/, double gap) { iat.push_back(gap); });
+  stats::SortSamples(iat);
   if (iat.size() >= 2) {
     fits.iat_weibull = stats::FitWeibullMle(iat);
     fits.iat_quality = stats::EvaluateWeibullFit(iat, fits.iat_weibull);

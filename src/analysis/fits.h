@@ -15,7 +15,8 @@ namespace coldstart::analysis {
 std::vector<stats::Ecdf> ColdStartTimeCdfs(const trace::TraceStore& store);
 
 // Fig. 10c: inter-arrival times between consecutive cold starts (seconds), per region
-// with pooled last entry. IATs are computed within each region's time-ordered stream.
+// with pooled last entry. IATs are computed within each region's time-ordered stream,
+// so the store must be sealed (COLDSTART_CHECK).
 std::vector<stats::Ecdf> ColdStartInterArrivalCdfs(const trace::TraceStore& store);
 
 struct DistributionFits {
@@ -29,7 +30,7 @@ struct DistributionFits {
   double iat_stddev = 0;
 };
 
-// Fig. 10b/d: MLE fits over the pooled samples.
+// Fig. 10b/d: MLE fits over the pooled samples. Needs a sealed store, as above.
 DistributionFits FitColdStartDistributions(const trace::TraceStore& store);
 
 }  // namespace coldstart::analysis

@@ -1,5 +1,7 @@
 #include "analysis/pool_size.h"
 
+#include "common/check.h"
+
 namespace coldstart::analysis {
 
 const char* ComponentName(ColdStartComponent c) {
@@ -36,31 +38,55 @@ uint32_t ComponentValueUs(const trace::ColdStartRecord& c, ColdStartComponent co
   return 0;
 }
 
+// The partition both entry points share: one pass over the cold starts, calling
+// emit(region, size class, component, seconds) for every sample, in store order.
+// Each function's size class is looked up once, not once per cold start.
+template <typename Emit>
+void PartitionColdStarts(const trace::TraceStore& store, const Emit& emit) {
+  std::vector<trace::PoolSizeClass> size_class;
+  size_class.reserve(store.functions().size());
+  for (const auto& f : store.functions()) {
+    size_class.push_back(trace::SizeClassOf(f.config));
+  }
+  for (const auto& c : store.cold_starts()) {
+    COLDSTART_CHECK_LT(c.function_id, size_class.size());
+    for (int k = 0; k < kNumColdStartComponents; ++k) {
+      const auto component = static_cast<ColdStartComponent>(k);
+      const uint32_t v = ComponentValueUs(c, component);
+      if (component == ColdStartComponent::kDeployDep && v == 0) {
+        continue;  // Functions without layers are excluded from the dep plots.
+      }
+      emit(static_cast<int>(c.region), size_class[c.function_id], component, ToSeconds(v));
+    }
+  }
+}
+
 }  // namespace
 
 stats::Ecdf PoolSizeDistribution(const trace::TraceStore& store, int region,
                                  trace::PoolSizeClass size_class,
                                  ColdStartComponent component) {
-  stats::Ecdf ecdf;
-  for (const auto& c : store.cold_starts()) {
-    if (region >= 0 && static_cast<int>(c.region) != region) {
-      continue;
+  std::vector<double> samples;
+  PartitionColdStarts(store, [&](int r, trace::PoolSizeClass s, ColdStartComponent c,
+                                 double seconds) {
+    if ((region < 0 || r == region) && s == size_class && c == component) {
+      samples.push_back(seconds);
     }
-    const auto& f = store.function(c.function_id);
-    if (trace::SizeClassOf(f.config) != size_class) {
-      continue;
-    }
-    const uint32_t v = ComponentValueUs(c, component);
-    if (component == ColdStartComponent::kDeployDep && v == 0) {
-      continue;  // Functions without layers are excluded from the dep plots.
-    }
-    ecdf.Add(ToSeconds(v));
-  }
-  ecdf.Seal();
-  return ecdf;
+  });
+  return stats::Ecdf(std::move(samples));
 }
 
 std::vector<PoolSizeSummary> ComputePoolSizeSummaries(const trace::TraceStore& store) {
+  // Cells in output order: region, then size class, then component.
+  const auto cell_index = [](int r, trace::PoolSizeClass s, ColdStartComponent c) {
+    return (static_cast<size_t>(r) * 2 + static_cast<size_t>(s)) * kNumColdStartComponents +
+           static_cast<size_t>(c);
+  };
+  std::vector<std::vector<double>> cells(trace::kNumRegions * 2 * kNumColdStartComponents);
+  PartitionColdStarts(store, [&](int r, trace::PoolSizeClass s, ColdStartComponent c,
+                                 double seconds) {
+    cells.at(cell_index(r, s, c)).push_back(seconds);
+  });
   std::vector<PoolSizeSummary> out;
   for (int r = 0; r < trace::kNumRegions; ++r) {
     for (int s = 0; s < 2; ++s) {
@@ -69,7 +95,9 @@ std::vector<PoolSizeSummary> ComputePoolSizeSummaries(const trace::TraceStore& s
         e.region = static_cast<trace::RegionId>(r);
         e.size_class = static_cast<trace::PoolSizeClass>(s);
         e.component = static_cast<ColdStartComponent>(c);
-        e.stats = PoolSizeDistribution(store, r, e.size_class, e.component).Summary();
+        // Moved into the Ecdf, so each cell is freed once summarized.
+        e.stats =
+            stats::Ecdf(std::move(cells[cell_index(r, e.size_class, e.component)])).Summary();
         out.push_back(e);
       }
     }

@@ -455,9 +455,10 @@ ExperimentResult Experiment::RunSerial(platform::PlatformPolicy* policy,
 
   result.interrupted_at_day =
       RunShardDays(sim, platform, calendar.horizon(), start_day, checkpoint, commit);
-  if (result.interrupted_at_day < 0) {
-    result.store.Seal();  // No-op in streaming mode (the store stayed empty).
-  }
+  // After the last checkpoint commit, so sealing never reaches a checkpoint byte.
+  // An interrupted run seals its partial trace too. No-op in streaming mode (the
+  // store stayed empty).
+  result.store.Seal();
 
   ResizeStats(result, profiles.size());
   for (size_t r = 0; r < profiles.size(); ++r) {
@@ -635,6 +636,9 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
       }
       stop_days[s] = RunShardDays(sim, platform, calendar.horizon(), start_day,
                                   checkpoint, commit);
+      // Each shard sorts its own tables on its own thread, after its last
+      // checkpoint commit (so no checkpoint byte changes), interrupted or not.
+      shards[s].store.Seal();
       shards[s].events = sim.events_processed();
       // This shard's platform only ever saw its own cell group's arrivals, so
       // its region row holds exactly this shard's contribution.
@@ -660,10 +664,11 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
     }
   }
 
-  // Deterministic merge. kFull: every shard emitted the identical function table,
-  // and Seal() orders the event tables by the canonical (time, region, id) key, so
-  // the merged store is byte-identical to the serial run's regardless of shard
-  // scheduling or geometry. kStreaming: shard aggregates fold in shard-id order;
+  // Deterministic merge. kFull: every shard emitted the identical function table
+  // and sealed its event tables into the canonical (time, region, id) order, which
+  // is total, so the k-way merge of the sealed shards is byte-identical to the
+  // serial run's store regardless of shard scheduling or geometry. kStreaming:
+  // shard aggregates fold in shard-id order;
   // every accumulator is a sum, count, max, or fixed-point total — associative
   // and commutative — so any partition of the serial record sequence merges to
   // the identical aggregates at any thread count and any K.
@@ -672,11 +677,14 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
     for (size_t s = 1; s < num_shards; ++s) {
       result.streaming.MergeFrom(shards[s].streaming);
     }
+    result.store.Seal();  // Empty, as in the serial run.
   } else {
-    result.store = std::move(shards[0].store);
-    for (size_t s = 1; s < num_shards; ++s) {
-      result.store.AppendFrom(std::move(shards[s].store));
+    std::vector<trace::TraceStore> parts;
+    parts.reserve(num_shards);
+    for (ShardOutcome& shard : shards) {
+      parts.push_back(std::move(shard.store));
     }
+    result.store = trace::TraceStore::MergeSealed(std::move(parts));
   }
   for (size_t s = 0; s < num_shards; ++s) {
     const size_t region = s / k;
@@ -689,9 +697,6 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
     // Integer (and 128-bit fixed-point) adds: fold order cannot change the sums,
     // so the merged ledger matches the serial run bit for bit.
     result.cost_ledger.MergeFrom(shards[s].cost_ledger);
-  }
-  if (result.interrupted_at_day < 0) {
-    result.store.Seal();
   }
 
   result.sim_wall_seconds =

@@ -95,9 +95,9 @@ struct ExperimentResult {
   // per-region aggregates above are nevertheless identical.
   uint64_t events_processed = 0;
   double sim_wall_seconds = 0;
-  // -1: the run completed (Finalize ran, the store is sealed). Otherwise the
-  // day boundary where a CheckpointPolicy stop flag ended the run early; the
-  // trace is partial and a checkpoint for that day was committed.
+  // -1: the run completed (Finalize ran). Otherwise the day boundary where a
+  // CheckpointPolicy stop flag ended the run early; the trace is partial (but
+  // sealed, like a complete one) and a checkpoint for that day was committed.
   int64_t interrupted_at_day = -1;
 };
 

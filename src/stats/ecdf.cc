@@ -1,7 +1,10 @@
 #include "stats/ecdf.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -17,9 +20,76 @@ void Ecdf::Add(double sample) {
   sealed_ = false;
 }
 
+namespace {
+
+// Order-preserving image of a double: flipping every bit of a negative and only the
+// sign bit of a non-negative makes unsigned integer order match numeric order, with
+// -0.0 just below +0.0. NaN has no place in it.
+uint64_t SortKey(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+// Below this many samples the radix sort's fixed cost (clearing and prefix-summing
+// six 2048-bin histograms, and a scratch buffer) loses to a comparison sort.
+constexpr size_t kRadixCutoff = 4096;
+
+}  // namespace
+
+void SortSamples(std::vector<double>& samples) {
+  const size_t n = samples.size();
+  if (n < kRadixCutoff) {
+    for (const double x : samples) {
+      COLDSTART_CHECK(!std::isnan(x) && "NaN sample");
+    }
+    std::sort(samples.begin(), samples.end(),
+              [](double a, double b) { return SortKey(a) < SortKey(b); });
+    return;
+  }
+  // LSD radix sort, six 11-bit digits, all histograms from one pass. A digit
+  // that every key shares moves nothing and is skipped.
+  constexpr int kDigitBits = 11;
+  constexpr int kDigits = (64 + kDigitBits - 1) / kDigitBits;
+  constexpr uint64_t kMask = (uint64_t{1} << kDigitBits) - 1;
+  std::vector<std::array<size_t, kMask + 1>> counts(kDigits);
+  for (const double x : samples) {
+    COLDSTART_CHECK(!std::isnan(x) && "NaN sample");
+    const uint64_t key = SortKey(x);
+    for (int d = 0; d < kDigits; ++d) {
+      ++counts[d][(key >> (kDigitBits * d)) & kMask];
+    }
+  }
+  std::vector<double> scratch(n);
+  std::vector<double>* from = &samples;
+  std::vector<double>* to = &scratch;
+  for (int d = 0; d < kDigits; ++d) {
+    std::array<size_t, kMask + 1>& offsets = counts[d];
+    const int shift = kDigitBits * d;
+    if (offsets[(SortKey(from->front()) >> shift) & kMask] == n) {
+      continue;
+    }
+    size_t sum = 0;
+    for (size_t& c : offsets) {
+      const size_t count = c;
+      c = sum;
+      sum += count;
+    }
+    const double* src = from->data();
+    double* dst = to->data();
+    for (size_t i = 0; i < n; ++i) {
+      dst[offsets[(SortKey(src[i]) >> shift) & kMask]++] = src[i];
+    }
+    std::swap(from, to);
+  }
+  if (from != &samples) {
+    samples.swap(scratch);
+  }
+}
+
 void Ecdf::Seal() {
   if (!sealed_) {
-    std::sort(samples_.begin(), samples_.end());
+    SortSamples(samples_);
     sealed_ = true;
   }
 }
@@ -56,6 +126,7 @@ double Ecdf::CdfAt(double x) const {
 }
 
 double Ecdf::Mean() const {
+  COLDSTART_CHECK(sealed_);
   if (samples_.empty()) {
     return kNan;
   }
@@ -67,6 +138,7 @@ double Ecdf::Mean() const {
 }
 
 double Ecdf::StdDev() const {
+  COLDSTART_CHECK(sealed_);
   if (samples_.empty()) {
     return kNan;
   }

@@ -2,6 +2,13 @@
 //
 // The paper reports nearly everything as CDFs (Figs. 3, 4, 10, 15, 16, 17); Ecdf is the
 // shared representation. It stores sorted samples, so quantiles are exact.
+//
+// Sorting (SortSamples, which Seal() uses) is an LSD radix sort over the
+// order-preserving 64-bit image of each double, with a comparison sort on the same
+// key below a few thousand samples. Its order is total on every non-NaN double:
+// -inf < negatives < -0.0 < +0.0 < positives < +inf, so -0.0 sorts before +0.0
+// (std::sort leaves their relative order unspecified; no analysis input produces
+// -0.0). A NaN sample dies via COLDSTART_CHECK.
 #ifndef COLDSTART_STATS_ECDF_H_
 #define COLDSTART_STATS_ECDF_H_
 
@@ -23,13 +30,19 @@ struct SummaryStats {
   double max = 0;
 };
 
+// Sorts `samples` ascending in the order above; the result equals std::sort's bit
+// for bit whenever the input holds no -0.0. Dies on NaN. Above the cutoff it uses
+// one scratch buffer of the input's size.
+void SortSamples(std::vector<double>& samples);
+
 class Ecdf {
  public:
   Ecdf() = default;
   explicit Ecdf(std::vector<double> samples);
 
   void Add(double sample);
-  // Must be called after the last Add() and before any query; idempotent.
+  // Must be called after the last Add() and before any query (every query below
+  // checks it); idempotent.
   void Seal();
 
   size_t size() const { return samples_.size(); }
@@ -41,7 +54,7 @@ class Ecdf {
   double Quantile(double q) const;
   // P(X <= x). Empty sample set -> 0 (no sample is <= x).
   double CdfAt(double x) const;
-  // NaN when empty.
+  // NaN when empty. Sums in sorted order.
   double Mean() const;
   // NaN when empty; 0 for a single sample.
   double StdDev() const;

@@ -39,30 +39,133 @@ void TraceStore::AppendFrom(TraceStore&& other) {
   other = TraceStore();
 }
 
+namespace {
+
+// The canonical keys. They form a total order: request ids are unique, and a pod id
+// (which embeds its region) names at most one cold-start and one lifetime record. A
+// total order is what guarantees that per-region shards merged in any order seal
+// identically to the serial run.
+struct RequestBefore {
+  bool operator()(const RequestRecord& a, const RequestRecord& b) const {
+    return std::tie(a.timestamp, a.region, a.request_id, a.pod_id) <
+           std::tie(b.timestamp, b.region, b.request_id, b.pod_id);
+  }
+};
+
+struct ColdStartBefore {
+  bool operator()(const ColdStartRecord& a, const ColdStartRecord& b) const {
+    return std::tie(a.timestamp, a.region, a.pod_id) <
+           std::tie(b.timestamp, b.region, b.pod_id);
+  }
+};
+
+struct PodBefore {
+  bool operator()(const PodLifetimeRecord& a, const PodLifetimeRecord& b) const {
+    return std::tie(a.cold_start_begin, a.region, a.pod_id) <
+           std::tie(b.cold_start_begin, b.region, b.pod_id);
+  }
+};
+
+// K-way merge of the sorted tables `runs` under `before`, consuming them. A run is
+// compacted whenever over half of it has been merged and released once all of it
+// has, so resident memory peaks near 1.5x the table rather than 2x (the output's
+// reserved pages become resident only as they are written). Equal keys
+// (impossible under the total order) take the lower run.
+template <typename Record, typename Before>
+std::vector<Record> MergeRuns(const std::vector<std::vector<Record>*>& runs, Before before) {
+  size_t total = 0;
+  for (const std::vector<Record>* run : runs) {
+    total += run->size();
+  }
+  std::vector<Record> out;
+  out.reserve(total);
+  struct Cursor {
+    const Record* at;
+    const Record* end;
+    size_t run;
+  };
+  // Binary min-heap of the non-empty runs' cursors, keyed on their head record.
+  std::vector<Cursor> heap;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i]->empty()) {
+      heap.push_back({runs[i]->data(), runs[i]->data() + runs[i]->size(), i});
+    } else {
+      std::vector<Record>().swap(*runs[i]);
+    }
+  }
+  const auto less = [before](const Cursor& a, const Cursor& b) {
+    return before(*a.at, *b.at) || (!before(*b.at, *a.at) && a.run < b.run);
+  };
+  const auto sift_down = [&heap, &less](size_t i) {
+    const size_t n = heap.size();
+    for (size_t c = 2 * i + 1; c < n; i = c, c = 2 * i + 1) {
+      if (c + 1 < n && less(heap[c + 1], heap[c])) {
+        ++c;
+      }
+      if (!less(heap[c], heap[i])) {
+        break;
+      }
+      std::swap(heap[i], heap[c]);
+    }
+  };
+  for (size_t i = heap.size(); i-- > 0;) {
+    sift_down(i);
+  }
+  while (!heap.empty()) {
+    Cursor& top = heap.front();
+    out.push_back(*top.at);
+    std::vector<Record>& run = *runs[top.run];
+    if (++top.at == top.end) {
+      std::vector<Record>().swap(run);
+      top = heap.back();
+      heap.pop_back();
+    } else if (top.at - run.data() > top.end - top.at) {
+      // Over half of this run is merged: move its tail into a fresh vector and
+      // free the old one, so the inputs shrink while the output grows.
+      std::vector<Record> tail(top.at, top.end);
+      run.swap(tail);
+      top.at = run.data();
+      top.end = run.data() + run.size();
+    }
+    sift_down(0);
+  }
+  return out;
+}
+
+}  // namespace
+
 void TraceStore::Seal() {
   if (sealed_) {
     return;
   }
-  // The keys form a total order: request ids are unique, and a pod id (which embeds
-  // its region) names at most one cold-start and one lifetime record. A total order
-  // is what guarantees that per-region shards merged in any order seal identically
-  // to the serial run.
-  std::sort(requests_.begin(), requests_.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return std::tie(a.timestamp, a.region, a.request_id, a.pod_id) <
-                     std::tie(b.timestamp, b.region, b.request_id, b.pod_id);
-            });
-  std::sort(cold_starts_.begin(), cold_starts_.end(),
-            [](const ColdStartRecord& a, const ColdStartRecord& b) {
-              return std::tie(a.timestamp, a.region, a.pod_id) <
-                     std::tie(b.timestamp, b.region, b.pod_id);
-            });
-  std::sort(pods_.begin(), pods_.end(),
-            [](const PodLifetimeRecord& a, const PodLifetimeRecord& b) {
-              return std::tie(a.cold_start_begin, a.region, a.pod_id) <
-                     std::tie(b.cold_start_begin, b.region, b.pod_id);
-            });
+  std::sort(requests_.begin(), requests_.end(), RequestBefore());
+  std::sort(cold_starts_.begin(), cold_starts_.end(), ColdStartBefore());
+  std::sort(pods_.begin(), pods_.end(), PodBefore());
   sealed_ = true;
+}
+
+TraceStore TraceStore::MergeSealed(std::vector<TraceStore>&& parts) {
+  COLDSTART_CHECK(!parts.empty());
+  TraceStore merged;
+  std::vector<std::vector<RequestRecord>*> requests;
+  std::vector<std::vector<ColdStartRecord>*> cold_starts;
+  std::vector<std::vector<PodLifetimeRecord>*> pods;
+  for (TraceStore& part : parts) {
+    COLDSTART_CHECK(part.sealed_ && "MergeSealed takes sealed shard stores");
+    // Every shard of a scenario registers the identical dense function table.
+    COLDSTART_CHECK_EQ(part.functions_.size(), parts.front().functions_.size());
+    merged.horizon_ = std::max(merged.horizon_, part.horizon_);
+    requests.push_back(&part.requests_);
+    cold_starts.push_back(&part.cold_starts_);
+    pods.push_back(&part.pods_);
+  }
+  merged.functions_ = std::move(parts.front().functions_);
+  merged.requests_ = MergeRuns(requests, RequestBefore());
+  merged.cold_starts_ = MergeRuns(cold_starts, ColdStartBefore());
+  merged.pods_ = MergeRuns(pods, PodBefore());
+  merged.sealed_ = true;
+  parts.clear();
+  return merged;
 }
 
 void TraceStore::RestoreTables(std::vector<RequestRecord> requests,

@@ -52,6 +52,13 @@ class TraceStore final : public TraceSink {
   // (timestamp, region, record id). Deterministic in the record *multiset* — the
   // insertion order never shows through — and idempotent.
   void Seal();
+
+  // Builds the sealed store of a sharded run from its sealed shard stores (consumed):
+  // a k-way merge of each event table under the canonical order, releasing each
+  // shard table as soon as it has been merged. The function tables must match, as
+  // for AppendFrom; the horizon is the max. The order is total, so the result is
+  // byte-identical to AppendFrom of every part followed by Seal().
+  static TraceStore MergeSealed(std::vector<TraceStore>&& parts);
   bool sealed() const { return sealed_; }
 
   const std::vector<RequestRecord>& requests() const { return requests_; }

@@ -1,6 +1,9 @@
 // Tests for the analysis layer on hand-built trace stores.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+
 #include "analysis/components.h"
 #include "analysis/fits.h"
 #include "analysis/group_cdfs.h"
@@ -10,6 +13,7 @@
 #include "analysis/pool_size.h"
 #include "analysis/region_stats.h"
 #include "analysis/utility.h"
+#include "core/experiment.h"
 
 namespace coldstart::analysis {
 namespace {
@@ -212,6 +216,21 @@ TEST(FitsTest, InterArrivalComputedWithinRegion) {
   EXPECT_EQ(iats.back().size(), 1u);
 }
 
+TEST(FitsTest, InterArrivalsRequireSealedStore) {
+  // Unsealed, the cold starts are in emission order: an out-of-order pair would be
+  // a negative gap, silently dropped. Both IAT consumers refuse such a store.
+  TraceStore store;
+  store.AddFunction(Fn(0, 0, trace::Runtime::kPython3, trace::Trigger::kTimer));
+  store.AddColdStart(Cs(10 * kSecond, 0, 0, 100, 100, 0, 100));
+  store.AddColdStart(Cs(0, 0, 0, 100, 100, 0, 100));
+  store.AddColdStart(Cs(5 * kSecond, 0, 0, 100, 100, 0, 100));
+  store.set_horizon(kMinute);
+  EXPECT_DEATH(ColdStartInterArrivalCdfs(store), "CHECK");
+  EXPECT_DEATH(FitColdStartDistributions(store), "CHECK");
+  store.Seal();
+  EXPECT_EQ(ColdStartInterArrivalCdfs(store).back().size(), 2u);
+}
+
 TEST(FitsTest, RecoverKnownLogNormal) {
   TraceStore store;
   store.AddFunction(Fn(0, 0, trace::Runtime::kPython3, trace::Trigger::kTimer));
@@ -353,6 +372,127 @@ TEST(HolidayTest, NormalizedToPreHolidayMax) {
   const auto& pods = series[0].pods_normalized;
   EXPECT_NEAR(pods[2], 1.0, 1e-9);   // Day 12 is the pre-holiday max.
   EXPECT_NEAR(pods[6], 0.5, 1e-9);   // Day 16 at half.
+}
+
+// --- The analysis pass pinned bit for bit on a real run. ---
+// One digest per step of the paper analysis pass (region sizes, cold-start CDFs,
+// hourly components, utility ratio, distribution fits, pool size), plus the
+// inter-arrival CDFs and the all-region pool-size distributions. Every sorted
+// sample, summary statistic, fitted parameter and series value goes in, so a
+// faster sort, merge or fit that changes a single bit of any output fails here.
+
+uint64_t MixEcdf(uint64_t h, const stats::Ecdf& e) {
+  h = MixHash(h, e.size());
+  for (const double x : e.sorted_samples()) {
+    h = MixHashDouble(h, x);
+  }
+  const stats::SummaryStats s = e.Summary();
+  for (const double v : {s.mean, s.stddev, s.min, s.p25, s.median, s.p75, s.p99, s.max}) {
+    h = MixHashDouble(h, v);
+  }
+  return h;
+}
+
+uint64_t MixValues(uint64_t h, const std::vector<double>& values) {
+  h = MixHash(h, values.size());
+  for (const double v : values) {
+    h = MixHashDouble(h, v);
+  }
+  return h;
+}
+
+constexpr size_t kNumPinnedSteps = 8;
+
+std::array<uint64_t, kNumPinnedSteps> AnalysisDigests(const TraceStore& store) {
+  std::array<uint64_t, kNumPinnedSteps> h{};
+  h.fill(HashString("analysis-pin-v1"));
+  for (const RegionSizes& s : ComputeRegionSizes(store)) {
+    for (const uint64_t v : {uint64_t{s.region}, s.functions, s.users, s.requests, s.pods,
+                             s.cold_starts}) {
+      h[0] = MixHash(h[0], v);
+    }
+  }
+  for (const stats::Ecdf& e : ColdStartTimeCdfs(store)) {
+    h[1] = MixEcdf(h[1], e);
+  }
+  for (int r = 0; r < trace::kNumRegions; ++r) {
+    const trace::ComponentSeries s = HourlyComponents(store, r);
+    for (const auto* v : {&s.total, &s.pod_alloc, &s.deploy_code, &s.deploy_dep,
+                          &s.scheduling, &s.count}) {
+      h[2] = MixValues(h[2], *v);
+    }
+    h[3] = MixEcdf(h[3], UtilityByRuntime(store, r, -1));
+  }
+  const DistributionFits f = FitColdStartDistributions(store);
+  for (const double v :
+       {f.cold_start_lognormal.mu, f.cold_start_lognormal.sigma,
+        f.cold_start_quality.ks_distance, f.cold_start_quality.log_likelihood,
+        f.cold_start_mean, f.cold_start_stddev, f.iat_weibull.shape, f.iat_weibull.scale,
+        f.iat_quality.ks_distance, f.iat_quality.log_likelihood, f.iat_mean,
+        f.iat_stddev}) {
+    h[4] = MixHashDouble(h[4], v);
+  }
+  for (const PoolSizeSummary& p : ComputePoolSizeSummaries(store)) {
+    h[5] = MixHash(h[5], p.region);
+    h[5] = MixHash(h[5], static_cast<uint64_t>(p.size_class));
+    h[5] = MixHash(h[5], static_cast<uint64_t>(p.component));
+    const stats::SummaryStats& s = p.stats;
+    h[5] = MixHash(h[5], s.count);
+    for (const double v :
+         {s.mean, s.stddev, s.min, s.p25, s.median, s.p75, s.p99, s.max}) {
+      h[5] = MixHashDouble(h[5], v);
+    }
+  }
+  for (const stats::Ecdf& e : ColdStartInterArrivalCdfs(store)) {
+    h[6] = MixEcdf(h[6], e);
+  }
+  for (int s = 0; s < 2; ++s) {
+    for (int c = 0; c < kNumColdStartComponents; ++c) {
+      h[7] = MixEcdf(h[7], PoolSizeDistribution(store, -1,
+                                                static_cast<trace::PoolSizeClass>(s),
+                                                static_cast<ColdStartComponent>(c)));
+    }
+  }
+  return h;
+}
+
+// Captured on the SmallScenario with four cells per region, before the analysis
+// pass moved to a radix-sorted Ecdf, one-pass pool-size cells and fused fits.
+constexpr std::array<uint64_t, kNumPinnedSteps> kPinnedDigests = {
+    0xb64934fd73aaa7c6ull, 0x99e5f0a35b2d1396ull, 0x35bd0cde915a17bfull,
+    0x00d5d0e372dc9af6ull, 0x4a2d4d0596e9e0f7ull, 0xb23cf23194064735ull,
+    0xef3bafef995f16bdull, 0xcdd9eb74f98b8a95ull};
+
+void ExpectPinned(const std::array<uint64_t, kNumPinnedSteps>& got) {
+  static constexpr const char* kSteps[kNumPinnedSteps] = {
+      "region_sizes", "cold_start_cdfs", "hourly_components", "utility",
+      "fits",         "pool_size",       "iat_cdfs",          "pool_size_all_regions"};
+  for (size_t i = 0; i < kNumPinnedSteps; ++i) {
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "0x%016llxull", static_cast<unsigned long long>(got[i]));
+    EXPECT_EQ(got[i], kPinnedDigests[i]) << kSteps[i] << " digest is now " << hex;
+  }
+}
+
+core::ScenarioConfig PinnedScenario() {
+  core::ScenarioConfig config = core::SmallScenario();
+  config.cells_per_region = 4;
+  return config;
+}
+
+TEST(AnalysisPinTest, SerialRunMatchesPinnedDigests) {
+  const core::ExperimentResult result =
+      core::Experiment(PinnedScenario()).Run(nullptr, /*num_threads=*/1);
+  ASSERT_TRUE(result.store.sealed());
+  ExpectPinned(AnalysisDigests(result.store));
+}
+
+TEST(AnalysisPinTest, SubRegionShardedRunMatchesPinnedDigests) {
+  // 20 threads over 5 regions plan K = 4 cell groups per region: 20 shards.
+  const core::ExperimentResult result =
+      core::Experiment(PinnedScenario()).Run(nullptr, /*num_threads=*/20);
+  ASSERT_TRUE(result.store.sealed());
+  ExpectPinned(AnalysisDigests(result.store));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/rng.h"
 #include "trace/aggregate.h"
 #include "trace/binary_io.h"
 #include "trace/csv.h"
@@ -387,6 +388,105 @@ TEST(TraceStoreMergeTest, AppendFromThenSealMatchesInterleavedInsertion) {
   // Ties sort region 0 before region 1 at t=5.
   EXPECT_EQ(merged.requests()[0].region, 0);
   EXPECT_EQ(merged.requests()[1].region, 1);
+}
+
+// Random records with deliberately colliding timestamps and regions: request
+// ids and pod ids stay unique, so the canonical order is still total.
+TraceStore RandomEventStore(Rng& rng, size_t n) {
+  TraceStore store;
+  for (size_t i = 0; i < n; ++i) {
+    RequestRecord r;
+    r.timestamp = static_cast<SimTime>(rng.NextBounded(50));
+    r.region = static_cast<RegionId>(rng.NextBounded(kNumRegions));
+    r.request_id = rng.NextU64();
+    r.pod_id = rng.NextBounded(8);
+    r.execution_time_us = static_cast<uint32_t>(rng.NextBounded(1000));
+    store.AddRequest(r);
+    ColdStartRecord c;
+    c.timestamp = static_cast<SimTime>(rng.NextBounded(50));
+    c.region = static_cast<RegionId>(rng.NextBounded(kNumRegions));
+    c.pod_id = i;
+    c.cold_start_us = static_cast<uint32_t>(rng.NextBounded(1000));
+    store.AddColdStart(c);
+    PodLifetimeRecord p;
+    p.cold_start_begin = static_cast<SimTime>(rng.NextBounded(50));
+    p.region = static_cast<RegionId>(rng.NextBounded(kNumRegions));
+    p.pod_id = i;
+    p.death_time = p.cold_start_begin + static_cast<SimTime>(rng.NextBounded(100));
+    store.AddPodLifetime(p);
+  }
+  return store;
+}
+
+TEST(TraceStoreMergeTest, MergeSealedMatchesAppendFromThenSeal) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const TraceStore all = RandomEventStore(rng, rng.NextBounded(400));
+    // A random split into 1-8 shards, each record to a random shard (so the same
+    // region and timestamp land in several shards); some shards stay empty.
+    const size_t num_shards = 1 + rng.NextBounded(8);
+    std::vector<TraceStore> shards(num_shards);
+    for (TraceStore& shard : shards) {
+      shard.AddFunction(MakeFunction(0, 0));
+      shard.AddFunction(MakeFunction(1, 1));
+      shard.set_horizon(static_cast<SimTime>(rng.NextBounded(1000)));
+    }
+    for (const RequestRecord& r : all.requests()) {
+      shards[rng.NextBounded(num_shards)].AddRequest(r);
+    }
+    for (const ColdStartRecord& c : all.cold_starts()) {
+      shards[rng.NextBounded(num_shards)].AddColdStart(c);
+    }
+    for (const PodLifetimeRecord& p : all.pods()) {
+      shards[rng.NextBounded(num_shards)].AddPodLifetime(p);
+    }
+
+    TraceStore reference;
+    for (TraceStore& shard : shards) {
+      TraceStore copy;
+      copy.RestoreTables(shard.requests(), shard.cold_starts(), shard.functions(),
+                         shard.pods(), shard.horizon());
+      if (reference.functions().empty()) {
+        reference = std::move(copy);
+      } else {
+        reference.AppendFrom(std::move(copy));
+      }
+      shard.Seal();
+    }
+    reference.Seal();
+
+    const TraceStore merged = TraceStore::MergeSealed(std::move(shards));
+    EXPECT_TRUE(merged.sealed());
+    EXPECT_EQ(merged.horizon(), reference.horizon());
+    EXPECT_EQ(merged.functions().size(), 2u);
+    EXPECT_EQ(Digest(merged), Digest(reference)) << "trial " << trial << ", "
+                                                 << num_shards << " shards";
+  }
+}
+
+TEST(TraceStoreMergeTest, MergeSealedRejectsUnsealedOrMismatchedShards) {
+  const auto shard = [](size_t functions, bool seal) {
+    TraceStore s;
+    for (size_t f = 0; f < functions; ++f) {
+      s.AddFunction(MakeFunction(static_cast<FunctionId>(f), 0));
+    }
+    RequestRecord r;
+    r.timestamp = 5;
+    s.AddRequest(r);
+    if (seal) {
+      s.Seal();
+    }
+    return s;
+  };
+  const auto merge = [](TraceStore a, TraceStore b) {
+    std::vector<TraceStore> parts;
+    parts.push_back(std::move(a));
+    parts.push_back(std::move(b));
+    return TraceStore::MergeSealed(std::move(parts));
+  };
+  EXPECT_DEATH(merge(shard(1, true), shard(1, false)), "CHECK");
+  EXPECT_DEATH(merge(shard(1, true), shard(2, true)), "CHECK");
+  EXPECT_EQ(merge(shard(1, true), shard(1, true)).requests().size(), 2u);
 }
 
 TEST_F(RoundTripTest, MissingFileFails) {
