@@ -21,36 +21,31 @@ std::vector<stats::Ecdf> ColdStartTimeCdfs(const trace::TraceStore& store) {
 
 namespace {
 
-// Calls emit(region, iat_seconds) for every positive gap between consecutive cold
-// starts of one region, in store order. The store must be sealed (time-ordered):
-// on an unsealed store an out-of-order pair would be a negative gap, silently
-// dropped.
-template <typename Emit>
-void ForEachColdStartInterArrival(const trace::TraceStore& store, const Emit& emit) {
+// Inter-arrival times (seconds) per region, with the pooled sample last. They need
+// the sealed time order: on an unsealed store an out-of-order pair would be a
+// negative gap, silently dropped.
+std::vector<std::vector<double>> InterArrivalSamples(const trace::TraceStore& store) {
   COLDSTART_CHECK(store.sealed() && "inter-arrival times need the sealed time order");
   std::vector<SimTime> last(trace::kNumRegions, -1);
+  std::vector<std::vector<double>> samples(trace::kNumRegions + 1);
   for (const auto& c : store.cold_starts()) {
     if (last[c.region] >= 0) {
       const double iat = ToSeconds(c.timestamp - last[c.region]);
       if (iat > 0) {
-        emit(c.region, iat);
+        samples[c.region].push_back(iat);
+        samples[trace::kNumRegions].push_back(iat);
       }
     }
     last[c.region] = c.timestamp;
   }
+  return samples;
 }
 
 }  // namespace
 
 std::vector<stats::Ecdf> ColdStartInterArrivalCdfs(const trace::TraceStore& store) {
-  std::vector<std::vector<double>> samples(trace::kNumRegions + 1);
-  ForEachColdStartInterArrival(store, [&samples](trace::RegionId region, double iat) {
-    samples[region].push_back(iat);
-    samples[trace::kNumRegions].push_back(iat);
-  });
   std::vector<stats::Ecdf> out;
-  out.reserve(samples.size());
-  for (auto& v : samples) {
+  for (auto& v : InterArrivalSamples(store)) {
     out.emplace_back(std::move(v));
   }
   return out;
@@ -74,10 +69,8 @@ DistributionFits FitColdStartDistributions(const trace::TraceStore& store) {
     fits.cold_start_stddev = fits.cold_start_lognormal.StdDev();
   }
 
-  // Only the pooled inter-arrival sample is fitted.
-  std::vector<double> iat;
-  ForEachColdStartInterArrival(
-      store, [&iat](trace::RegionId /*region*/, double gap) { iat.push_back(gap); });
+  // Only the pooled inter-arrival sample is fitted, so only it is sorted.
+  std::vector<double> iat = std::move(InterArrivalSamples(store).back());
   stats::SortSamples(iat);
   if (iat.size() >= 2) {
     fits.iat_weibull = stats::FitWeibullMle(iat);

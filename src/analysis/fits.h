@@ -15,8 +15,7 @@ namespace coldstart::analysis {
 std::vector<stats::Ecdf> ColdStartTimeCdfs(const trace::TraceStore& store);
 
 // Fig. 10c: inter-arrival times between consecutive cold starts (seconds), per region
-// with pooled last entry. IATs are computed within each region's time-ordered stream,
-// so the store must be sealed (COLDSTART_CHECK).
+// with pooled last entry, within each region's time order: the store must be sealed.
 std::vector<stats::Ecdf> ColdStartInterArrivalCdfs(const trace::TraceStore& store);
 
 struct DistributionFits {

@@ -1,7 +1,5 @@
 #include "analysis/pool_size.h"
 
-#include "common/check.h"
-
 namespace coldstart::analysis {
 
 const char* ComponentName(ColdStartComponent c) {
@@ -39,26 +37,21 @@ uint32_t ComponentValueUs(const trace::ColdStartRecord& c, ColdStartComponent co
 }
 
 // The partition both entry points share: one pass over the cold starts, calling
-// emit(region, size class, component, seconds) for every sample, in store order.
-// Each function's size class is looked up once, not once per cold start.
+// emit(record, seconds) with `component` of each, in store order.
 template <typename Emit>
-void PartitionColdStarts(const trace::TraceStore& store, const Emit& emit) {
-  std::vector<trace::PoolSizeClass> size_class;
-  size_class.reserve(store.functions().size());
-  for (const auto& f : store.functions()) {
-    size_class.push_back(trace::SizeClassOf(f.config));
-  }
+void ForEachSample(const trace::TraceStore& store, ColdStartComponent component,
+                   const Emit& emit) {
   for (const auto& c : store.cold_starts()) {
-    COLDSTART_CHECK_LT(c.function_id, size_class.size());
-    for (int k = 0; k < kNumColdStartComponents; ++k) {
-      const auto component = static_cast<ColdStartComponent>(k);
-      const uint32_t v = ComponentValueUs(c, component);
-      if (component == ColdStartComponent::kDeployDep && v == 0) {
-        continue;  // Functions without layers are excluded from the dep plots.
-      }
-      emit(static_cast<int>(c.region), size_class[c.function_id], component, ToSeconds(v));
+    const uint32_t v = ComponentValueUs(c, component);
+    if (component == ColdStartComponent::kDeployDep && v == 0) {
+      continue;  // Functions without layers are excluded from the dep plots.
     }
+    emit(c, ToSeconds(v));
   }
+}
+
+int SizeClassIndex(const trace::TraceStore& store, const trace::ColdStartRecord& c) {
+  return static_cast<int>(trace::SizeClassOf(store.function(c.function_id).config));
 }
 
 }  // namespace
@@ -67,9 +60,9 @@ stats::Ecdf PoolSizeDistribution(const trace::TraceStore& store, int region,
                                  trace::PoolSizeClass size_class,
                                  ColdStartComponent component) {
   std::vector<double> samples;
-  PartitionColdStarts(store, [&](int r, trace::PoolSizeClass s, ColdStartComponent c,
-                                 double seconds) {
-    if ((region < 0 || r == region) && s == size_class && c == component) {
+  ForEachSample(store, component, [&](const trace::ColdStartRecord& c, double seconds) {
+    if ((region < 0 || static_cast<int>(c.region) == region) &&
+        SizeClassIndex(store, c) == static_cast<int>(size_class)) {
       samples.push_back(seconds);
     }
   });
@@ -77,29 +70,22 @@ stats::Ecdf PoolSizeDistribution(const trace::TraceStore& store, int region,
 }
 
 std::vector<PoolSizeSummary> ComputePoolSizeSummaries(const trace::TraceStore& store) {
-  // Cells in output order: region, then size class, then component.
-  const auto cell_index = [](int r, trace::PoolSizeClass s, ColdStartComponent c) {
-    return (static_cast<size_t>(r) * 2 + static_cast<size_t>(s)) * kNumColdStartComponents +
-           static_cast<size_t>(c);
-  };
-  std::vector<std::vector<double>> cells(trace::kNumRegions * 2 * kNumColdStartComponents);
-  PartitionColdStarts(store, [&](int r, trace::PoolSizeClass s, ColdStartComponent c,
-                                 double seconds) {
-    cells.at(cell_index(r, s, c)).push_back(seconds);
-  });
-  std::vector<PoolSizeSummary> out;
-  for (int r = 0; r < trace::kNumRegions; ++r) {
-    for (int s = 0; s < 2; ++s) {
-      for (int c = 0; c < kNumColdStartComponents; ++c) {
-        PoolSizeSummary e;
-        e.region = static_cast<trace::RegionId>(r);
-        e.size_class = static_cast<trace::PoolSizeClass>(s);
-        e.component = static_cast<ColdStartComponent>(c);
-        // Moved into the Ecdf, so each cell is freed once summarized.
-        e.stats =
-            stats::Ecdf(std::move(cells[cell_index(r, e.size_class, e.component)])).Summary();
-        out.push_back(e);
-      }
+  constexpr int kCells = trace::kNumRegions * 2;  // Region-major, then size class.
+  std::vector<PoolSizeSummary> out(kCells * kNumColdStartComponents);
+  for (int c = 0; c < kNumColdStartComponents; ++c) {
+    // One pass per component into its cells. Each cell is moved into its Ecdf, so
+    // it is freed once summarized.
+    const auto component = static_cast<ColdStartComponent>(c);
+    std::vector<std::vector<double>> cells(kCells);
+    ForEachSample(store, component, [&](const trace::ColdStartRecord& r, double seconds) {
+      cells.at(r.region * 2 + SizeClassIndex(store, r)).push_back(seconds);
+    });
+    for (int cell = 0; cell < kCells; ++cell) {
+      PoolSizeSummary& e = out[cell * kNumColdStartComponents + c];
+      e.region = static_cast<trace::RegionId>(cell / 2);
+      e.size_class = static_cast<trace::PoolSizeClass>(cell % 2);
+      e.component = component;
+      e.stats = stats::Ecdf(std::move(cells[cell])).Summary();
     }
   }
   return out;

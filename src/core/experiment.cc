@@ -455,9 +455,7 @@ ExperimentResult Experiment::RunSerial(platform::PlatformPolicy* policy,
 
   result.interrupted_at_day =
       RunShardDays(sim, platform, calendar.horizon(), start_day, checkpoint, commit);
-  // After the last checkpoint commit, so sealing never reaches a checkpoint byte.
-  // An interrupted run seals its partial trace too. No-op in streaming mode (the
-  // store stayed empty).
+  // After the last checkpoint commit, interrupted or not. No-op in streaming mode.
   result.store.Seal();
 
   ResizeStats(result, profiles.size());
@@ -636,8 +634,7 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
       }
       stop_days[s] = RunShardDays(sim, platform, calendar.horizon(), start_day,
                                   checkpoint, commit);
-      // Each shard sorts its own tables on its own thread, after its last
-      // checkpoint commit (so no checkpoint byte changes), interrupted or not.
+      // On the shard's own thread, after its last checkpoint commit, interrupted or not.
       shards[s].store.Seal();
       shards[s].events = sim.events_processed();
       // This shard's platform only ever saw its own cell group's arrivals, so
@@ -666,12 +663,11 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
 
   // Deterministic merge. kFull: every shard emitted the identical function table
   // and sealed its event tables into the canonical (time, region, id) order, which
-  // is total, so the k-way merge of the sealed shards is byte-identical to the
-  // serial run's store regardless of shard scheduling or geometry. kStreaming:
-  // shard aggregates fold in shard-id order;
-  // every accumulator is a sum, count, max, or fixed-point total — associative
-  // and commutative — so any partition of the serial record sequence merges to
-  // the identical aggregates at any thread count and any K.
+  // is total, so the merged store is byte-identical to the serial run's regardless
+  // of shard scheduling or geometry. kStreaming: shard aggregates fold in shard-id
+  // order; every accumulator is a sum, count, max, or fixed-point total —
+  // associative and commutative — so any partition of the serial record sequence
+  // merges to the identical aggregates at any thread count and any K.
   if (streaming) {
     result.streaming = std::move(shards[0].streaming);
     for (size_t s = 1; s < num_shards; ++s) {
@@ -680,7 +676,6 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
     result.store.Seal();  // Empty, as in the serial run.
   } else {
     std::vector<trace::TraceStore> parts;
-    parts.reserve(num_shards);
     for (ShardOutcome& shard : shards) {
       parts.push_back(std::move(shard.store));
     }

@@ -41,8 +41,7 @@ class Ecdf {
   explicit Ecdf(std::vector<double> samples);
 
   void Add(double sample);
-  // Must be called after the last Add() and before any query (every query below
-  // checks it); idempotent.
+  // Must be called after the last Add() and before any query (checked); idempotent.
   void Seal();
 
   size_t size() const { return samples_.size(); }

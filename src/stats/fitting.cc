@@ -32,50 +32,19 @@ LogNormalParams FitLogNormalMle(const std::vector<double>& samples) {
 
 namespace {
 
-// A run of equal consecutive samples with its log computed once. Equal samples add
-// equal terms in the same order, so a sum that adds a run's term `count` times is
-// bit-identical to one that recomputes the term per sample.
-struct SampleRun {
-  double x;
-  double log_x;
-  size_t count;
-};
-
-std::vector<SampleRun> PositiveRuns(const std::vector<double>& samples) {
-  std::vector<SampleRun> runs;
-  for (const double x : samples) {
-    COLDSTART_CHECK_GT(x, 0.0);
-    if (!runs.empty() && runs.back().x == x) {
-      ++runs.back().count;
-    } else {
-      runs.push_back({x, std::log(x), 1});
-    }
-  }
-  return runs;
-}
-
-// KS distance (as KsDistance) and log-likelihood in one pass over sorted samples,
-// with Cdf/Pdf evaluated once per run of equal samples.
+// KS distance (as KsDistance) and log-likelihood in one pass over sorted samples.
 template <typename Dist>
 FitQuality EvaluateFit(const std::vector<double>& sorted_samples, const Dist& dist) {
   const size_t n = sorted_samples.size();
-  double d = 0.0;
-  double ll = 0;
-  for (size_t i = 0; i < n;) {
-    const double x = sorted_samples[i];
-    const double f = dist.Cdf(x);
-    const double term = std::log(std::max(dist.Pdf(x), 1e-300));
-    do {
-      const double lo = static_cast<double>(i) / static_cast<double>(n);
-      const double hi = static_cast<double>(i + 1) / static_cast<double>(n);
-      d = std::max(d, std::max(f - lo, hi - f));
-      ll += term;
-      ++i;
-    } while (i < n && sorted_samples[i] == x);
-  }
   FitQuality q;
-  q.ks_distance = d;
-  q.log_likelihood = ll;
+  q.ks_distance = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double f = dist.Cdf(sorted_samples[i]);
+    const double lo = static_cast<double>(i) / static_cast<double>(n);
+    const double hi = static_cast<double>(i + 1) / static_cast<double>(n);
+    q.ks_distance = std::max(q.ks_distance, std::max(f - lo, hi - f));
+    q.log_likelihood += std::log(std::max(dist.Pdf(sorted_samples[i]), 1e-300));
+  }
   return q;
 }
 
@@ -84,12 +53,13 @@ FitQuality EvaluateFit(const std::vector<double>& sorted_samples, const Dist& di
 WeibullParams FitWeibullMle(const std::vector<double>& samples) {
   COLDSTART_CHECK_GE(samples.size(), 2u);
   const double n = static_cast<double>(samples.size());
-  const std::vector<SampleRun> runs = PositiveRuns(samples);
+  std::vector<double> logs;  // log(x), taken once per sample, not per Newton step.
+  logs.reserve(samples.size());
   double sum_log = 0;
-  for (const SampleRun& run : runs) {
-    for (size_t j = 0; j < run.count; ++j) {
-      sum_log += run.log_x;
-    }
+  for (const double x : samples) {
+    COLDSTART_CHECK_GT(x, 0.0);
+    logs.push_back(std::log(x));
+    sum_log += logs.back();
   }
   const double mean_log = sum_log / n;
 
@@ -98,15 +68,12 @@ WeibullParams FitWeibullMle(const std::vector<double>& samples) {
   // g is increasing in k on (0, inf); solve by Newton with bisection safeguard.
   auto g_and_gprime = [&](double k, double& g, double& gp) {
     double swk = 0, swklog = 0, swklog2 = 0;
-    for (const SampleRun& run : runs) {
-      const double w = std::pow(run.x, k);
-      const double wl = w * run.log_x;
-      const double wl2 = wl * run.log_x;
-      for (size_t j = 0; j < run.count; ++j) {
-        swk += w;
-        swklog += wl;
-        swklog2 += wl2;
-      }
+    for (size_t i = 0; i < samples.size(); ++i) {
+      const double lx = logs[i];
+      const double w = std::pow(samples[i], k);
+      swk += w;
+      swklog += w * lx;
+      swklog2 += w * lx * lx;
     }
     const double r = swklog / swk;
     g = r - 1.0 / k - mean_log;
@@ -138,11 +105,8 @@ WeibullParams FitWeibullMle(const std::vector<double>& samples) {
   }
 
   double swk = 0;
-  for (const SampleRun& run : runs) {
-    const double w = std::pow(run.x, k);
-    for (size_t j = 0; j < run.count; ++j) {
-      swk += w;
-    }
+  for (const double x : samples) {
+    swk += std::pow(x, k);
   }
   WeibullParams p;
   p.shape = k;

@@ -21,9 +21,7 @@ struct FitQuality {
 LogNormalParams FitLogNormalMle(const std::vector<double>& samples);
 
 // Weibull MLE via Newton-Raphson on the profile likelihood for the shape; falls back to
-// bisection if Newton leaves (0, inf). Requires positive samples. log(x) is taken once
-// per sample and pow(x, k) once per run of equal consecutive samples (sorted input
-// has the fewest runs); every sum is bit-identical to a per-sample loop.
+// bisection if Newton leaves (0, inf). Requires positive samples.
 WeibullParams FitWeibullMle(const std::vector<double>& samples);
 
 // K-S distance between sorted samples and an analytic CDF.
@@ -40,8 +38,7 @@ double KsDistance(const std::vector<double>& sorted_samples, const Dist& dist) {
   return d;
 }
 
-// KS distance (exactly KsDistance's) and log-likelihood in one pass, with Cdf/Pdf
-// evaluated once per run of equal samples.
+// KS distance (exactly KsDistance's) and log-likelihood in one pass.
 FitQuality EvaluateLogNormalFit(const std::vector<double>& sorted_samples,
                                 const LogNormalParams& p);
 FitQuality EvaluateWeibullFit(const std::vector<double>& sorted_samples,

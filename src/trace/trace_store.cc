@@ -66,70 +66,23 @@ struct PodBefore {
   }
 };
 
-// K-way merge of the sorted tables `runs` under `before`, consuming them. A run is
-// compacted whenever over half of it has been merged and released once all of it
-// has, so resident memory peaks near 1.5x the table rather than 2x (the output's
-// reserved pages become resident only as they are written). Equal keys
-// (impossible under the total order) take the lower run.
+// Merges the adjacent sorted runs [bounds[i], bounds[i + 1]) of `table` in place,
+// pairwise and bottom up. std::inplace_merge's buffer holds at most the shorter run.
 template <typename Record, typename Before>
-std::vector<Record> MergeRuns(const std::vector<std::vector<Record>*>& runs, Before before) {
-  size_t total = 0;
-  for (const std::vector<Record>* run : runs) {
-    total += run->size();
-  }
-  std::vector<Record> out;
-  out.reserve(total);
-  struct Cursor {
-    const Record* at;
-    const Record* end;
-    size_t run;
-  };
-  // Binary min-heap of the non-empty runs' cursors, keyed on their head record.
-  std::vector<Cursor> heap;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    if (!runs[i]->empty()) {
-      heap.push_back({runs[i]->data(), runs[i]->data() + runs[i]->size(), i});
-    } else {
-      std::vector<Record>().swap(*runs[i]);
+void MergeAdjacentRuns(std::vector<Record>& table, std::vector<size_t> bounds,
+                       Before before) {
+  while (bounds.size() > 2) {
+    std::vector<size_t> merged = {0};
+    for (size_t i = 2; i < bounds.size(); i += 2) {
+      std::inplace_merge(table.begin() + bounds[i - 2], table.begin() + bounds[i - 1],
+                         table.begin() + bounds[i], before);
+      merged.push_back(bounds[i]);
     }
-  }
-  const auto less = [before](const Cursor& a, const Cursor& b) {
-    return before(*a.at, *b.at) || (!before(*b.at, *a.at) && a.run < b.run);
-  };
-  const auto sift_down = [&heap, &less](size_t i) {
-    const size_t n = heap.size();
-    for (size_t c = 2 * i + 1; c < n; i = c, c = 2 * i + 1) {
-      if (c + 1 < n && less(heap[c + 1], heap[c])) {
-        ++c;
-      }
-      if (!less(heap[c], heap[i])) {
-        break;
-      }
-      std::swap(heap[i], heap[c]);
+    if (bounds.size() % 2 == 0) {
+      merged.push_back(bounds.back());  // An odd run out waits for the next round.
     }
-  };
-  for (size_t i = heap.size(); i-- > 0;) {
-    sift_down(i);
+    bounds.swap(merged);
   }
-  while (!heap.empty()) {
-    Cursor& top = heap.front();
-    out.push_back(*top.at);
-    std::vector<Record>& run = *runs[top.run];
-    if (++top.at == top.end) {
-      std::vector<Record>().swap(run);
-      top = heap.back();
-      heap.pop_back();
-    } else if (top.at - run.data() > top.end - top.at) {
-      // Over half of this run is merged: move its tail into a fresh vector and
-      // free the old one, so the inputs shrink while the output grows.
-      std::vector<Record> tail(top.at, top.end);
-      run.swap(tail);
-      top.at = run.data();
-      top.end = run.data() + run.size();
-    }
-    sift_down(0);
-  }
-  return out;
 }
 
 }  // namespace
@@ -146,25 +99,30 @@ void TraceStore::Seal() {
 
 TraceStore TraceStore::MergeSealed(std::vector<TraceStore>&& parts) {
   COLDSTART_CHECK(!parts.empty());
-  TraceStore merged;
-  std::vector<std::vector<RequestRecord>*> requests;
-  std::vector<std::vector<ColdStartRecord>*> cold_starts;
-  std::vector<std::vector<PodLifetimeRecord>*> pods;
-  for (TraceStore& part : parts) {
+  size_t requests = 0, cold_starts = 0, pods = 0;
+  for (const TraceStore& part : parts) {
     COLDSTART_CHECK(part.sealed_ && "MergeSealed takes sealed shard stores");
-    // Every shard of a scenario registers the identical dense function table.
-    COLDSTART_CHECK_EQ(part.functions_.size(), parts.front().functions_.size());
-    merged.horizon_ = std::max(merged.horizon_, part.horizon_);
-    requests.push_back(&part.requests_);
-    cold_starts.push_back(&part.cold_starts_);
-    pods.push_back(&part.pods_);
+    requests += part.requests_.size();
+    cold_starts += part.cold_starts_.size();
+    pods += part.pods_.size();
   }
-  merged.functions_ = std::move(parts.front().functions_);
-  merged.requests_ = MergeRuns(requests, RequestBefore());
-  merged.cold_starts_ = MergeRuns(cold_starts, ColdStartBefore());
-  merged.pods_ = MergeRuns(pods, PodBefore());
-  merged.sealed_ = true;
+  // Reserved up front, so appending never reallocates; AppendFrom frees each part.
+  TraceStore merged = std::move(parts.front());
+  merged.Reserve(requests, cold_starts, pods);
+  std::vector<size_t> request_runs = {0}, cold_start_runs = {0}, pod_runs = {0};
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) {
+      merged.AppendFrom(std::move(parts[i]));
+    }
+    request_runs.push_back(merged.requests_.size());
+    cold_start_runs.push_back(merged.cold_starts_.size());
+    pod_runs.push_back(merged.pods_.size());
+  }
   parts.clear();
+  MergeAdjacentRuns(merged.requests_, std::move(request_runs), RequestBefore());
+  MergeAdjacentRuns(merged.cold_starts_, std::move(cold_start_runs), ColdStartBefore());
+  MergeAdjacentRuns(merged.pods_, std::move(pod_runs), PodBefore());
+  merged.sealed_ = true;
   return merged;
 }
 

@@ -54,10 +54,10 @@ class TraceStore final : public TraceSink {
   void Seal();
 
   // Builds the sealed store of a sharded run from its sealed shard stores (consumed):
-  // a k-way merge of each event table under the canonical order, releasing each
-  // shard table as soon as it has been merged. The function tables must match, as
-  // for AppendFrom; the horizon is the max. The order is total, so the result is
-  // byte-identical to AppendFrom of every part followed by Seal().
+  // each part is appended (and freed) in turn, then the sorted runs of every event
+  // table are merged pairwise in place under the canonical order. The function
+  // tables must match, as for AppendFrom; the horizon is the max. The order is
+  // total, so the result is byte-identical to AppendFrom of every part + Seal().
   static TraceStore MergeSealed(std::vector<TraceStore>&& parts);
   bool sealed() const { return sealed_; }
 

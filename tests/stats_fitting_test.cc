@@ -295,7 +295,8 @@ TEST(SortSamplesTest, NanDies) {
   EXPECT_DEATH(Ecdf({1.0, std::numeric_limits<double>::quiet_NaN()}), "CHECK");
 }
 
-// --- The run-reusing fits equal the per-sample loops they replaced, bit for bit. ---
+// --- The log-once Weibull fit and the fused evaluation equal the loops they
+// replaced, bit for bit. ---
 
 WeibullParams ReferenceFitWeibullMle(const std::vector<double>& samples) {
   const double n = static_cast<double>(samples.size());
@@ -379,8 +380,7 @@ TEST(FitEquivalenceTest, WeibullMleMatchesPerSampleLoop) {
   for (const double grid : {1.0, 0.1, 1e-3}) {
     for (const size_t n : {2u, 50u, 20000u}) {
       std::vector<double> samples = TieHeavySamples(rng, n, grid);
-      samples[0] = samples[1];  // At least one run, even at n = 2.
-      // Unsorted input has short runs; sorted input has the longest ones.
+      samples[0] = samples[1];  // At least one tie, even at n = 2.
       for (int sorted = 0; sorted < 2; ++sorted) {
         if (sorted == 1) {
           std::sort(samples.begin(), samples.end());
