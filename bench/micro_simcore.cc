@@ -210,7 +210,8 @@ static void BM_ArrivalInjection(benchmark::State& state) {
     opts.seed = 7;
     opts.record_requests = false;
     platform::Platform platform(pop, profiles, calendar, sim, store, opts);
-    platform.InjectArrivals(arrivals);
+    platform.AttachArrivalStream(std::make_unique<workload::MaterializedArrivalStream>(
+        arrivals, workload::NumDayChunks(calendar)));
     sim.RunUntil(calendar.horizon());
     platform.Finalize();
     benchmark::DoNotOptimize(platform.total_cold_starts());
@@ -339,7 +340,7 @@ static void BM_PopulationGeneration(benchmark::State& state) {
 BENCHMARK(BM_PopulationGeneration);
 
 // End-to-end experiment wall clock, serial vs region-sharded. The argument is the
-// worker-thread cap handed to Experiment::Run (1 = the serial path); results are
+// worker-thread cap handed to Experiment::Run (1 = the one-shard plan); results are
 // bit-identical across arguments, so this measures pure scheduling gain. On a
 // >=4-core host the 5-region scenario shards to ~the slowest region's share, giving
 // the >=2x speedup the BENCH_simcore.json trajectory tracks; on fewer cores the

@@ -3,7 +3,7 @@
 # perf trajectory (timer wheel vs. heap baseline, arrival injection, slab churn,
 # chunked-vs-materialized arrival generation — BM_ArrivalGeneration/1 vs /0 —
 # and the sharded-vs-serial experiment runner: compare BM_ShardedExperiment/1 —
-# the serial path — against /2 and /4). BM_PaperScaleMonth is the end-to-end
+# the one-shard plan — against /2 and /4). BM_PaperScaleMonth is the end-to-end
 # down-scaled paper-month driver: /1/1 is the legacy serial run, /1/4 serial
 # with cells=4, /5/4 region-sharded (K=1), /16/4 sub-region-sharded (K=4).
 #

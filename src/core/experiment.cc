@@ -306,47 +306,86 @@ void ValidateManifestEntries(const checkpoint::Manifest& manifest,
                     "manifest lists the same shard twice");
     seen.push_back(e.shard);
   }
+  COLDSTART_CHECK((manifest.sharded || !seen.empty()) &&
+                  "serial manifest has no entry");
+}
+
+// How one run splits into shards. Sharded: regions × k shards, shard s owning
+// region s / k and cell group s % k, running its own clone of the policy and
+// checkpointing under id s. Whole: one shard that owns every region, runs the
+// caller's policy instance and checkpoints under kSerialShard.
+struct ShardPlan {
+  bool sharded = false;
+  uint32_t k = 1;  // Shards per region.
+  // One per shard, when sharded with a policy; empty otherwise.
+  std::vector<std::unique_ptr<platform::PlatformPolicy>> clones;
+};
+
+// The one planner behind Run, ResumeFrom and CanShard. A resume adopts the
+// manifest's geometry verbatim: shard ids must line up with its entries. A
+// fresh run shards only with more than one thread. K == 1 is plain region
+// sharding — the only geometry open to capacity-coupled policies, since
+// splitting a region's cells also splits its pools and load state. K > 1
+// (sub-region sharding) engages only when the scenario decomposes (cells > 1)
+// and the policy never reads region-coupled state (is_function_local), and
+// sizes itself to the thread budget: just enough groups per region to keep
+// `threads` workers busy. A sharded plan runs one policy clone per shard (the
+// caller's instance is only the configuration prototype); a policy that cannot
+// clone runs as the whole shard — same results, one thread.
+ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* policy,
+                     int threads, const checkpoint::Manifest* resume) {
+  ShardPlan plan;
+  const size_t regions = config.profiles.size();
+  const uint32_t cells = std::max<uint32_t>(config.cells_per_region, 1u);
+  const bool region_local = policy == nullptr || policy->is_region_local();
+  const bool function_local = policy == nullptr || policy->is_function_local();
+  // A single-region scenario can only shard along the cell axis, which further
+  // requires the policy to be function-local.
+  const bool shardable =
+      region_local && (regions > 1 || (cells > 1 && function_local));
+  if (resume != nullptr) {
+    if (!resume->sharded) {
+      return plan;
+    }
+    COLDSTART_CHECK(shardable &&
+                    "sharded checkpoint requires a shardable config and policy");
+    plan.k = resume->shards_per_region;
+  } else if (threads <= 1 || !shardable) {
+    return plan;
+  } else if (cells > 1 && function_local) {
+    const uint32_t want = static_cast<uint32_t>(
+        (static_cast<size_t>(threads) + regions - 1) / regions);
+    plan.k = std::min(cells, std::max<uint32_t>(want, 1u));
+  }
+  COLDSTART_CHECK((plan.k == 1 || function_local) &&
+                  "sub-region (K > 1) geometry with a policy that reads "
+                  "region-coupled state");
+  if (policy != nullptr) {
+    plan.clones.resize(regions * plan.k);
+    for (auto& clone : plan.clones) {
+      clone = policy->CloneForShard();
+      if (clone == nullptr) {
+        COLDSTART_CHECK(resume == nullptr &&
+                        "sharded checkpoint requires a shard-clonable policy");
+        return ShardPlan();
+      }
+    }
+  }
+  plan.sharded = true;
+  return plan;
 }
 
 }  // namespace
 
 bool Experiment::CanShard(platform::PlatformPolicy* policy) const {
-  const bool multi_region = config_.profiles.size() >= 2;
-  const bool multi_cell = config_.cells_per_region > 1;
-  if (!multi_region && !multi_cell) {
-    return false;
-  }
-  if (policy == nullptr) {
-    return true;
-  }
-  if (!policy->is_region_local()) {
-    return false;
-  }
-  // A single-region scenario can only shard along the cell axis, which further
-  // requires the policy to be function-local (no region-wide coupled state).
-  if (!multi_region && !policy->is_function_local()) {
-    return false;
-  }
-  return policy->CloneForShard() != nullptr;
+  // Any budget above one thread: the plan then shards whenever it can.
+  return PlanShards(config_, policy, /*threads=*/2, nullptr).sharded;
 }
 
 ExperimentResult Experiment::Run(platform::PlatformPolicy* policy,
                                  int num_threads,
                                  const CheckpointPolicy* checkpoint) const {
-  const int threads =
-      num_threads > 0 ? num_threads : ParallelSweep::DefaultThreads();
-  // Clonability is probed inside RunSharded (cloning is the probe), so the hot
-  // path never builds a throwaway clone tree.
-  const bool region_shardable = config_.profiles.size() > 1 &&
-                                (policy == nullptr || policy->is_region_local());
-  const bool cell_shardable =
-      config_.cells_per_region > 1 &&
-      (policy == nullptr ||
-       (policy->is_region_local() && policy->is_function_local()));
-  if (threads > 1 && (region_shardable || cell_shardable)) {
-    return RunSharded(policy, threads, checkpoint);
-  }
-  return RunSerial(policy, checkpoint);
+  return RunShards(policy, num_threads, checkpoint);
 }
 
 ExperimentResult Experiment::ResumeFrom(const std::string& dir,
@@ -366,156 +405,24 @@ ExperimentResult Experiment::ResumeFrom(const std::string& dir,
   COLDSTART_CHECK_LE(manifest.shards_per_region,
                      std::max<uint32_t>(config_.cells_per_region, 1u));
   ValidateManifestEntries(manifest, config_.profiles.size());
-  if (manifest.sharded) {
-    COLDSTART_CHECK(CanShard(policy) &&
-                    "sharded checkpoint requires a shardable config and policy");
-    // Honor the caller's thread count as-is: the shard loop runs correctly on
-    // one worker (shards execute sequentially), so an explicit num_threads=1
-    // must not be silently promoted to 2.
-    const int threads =
-        num_threads > 0 ? num_threads : ParallelSweep::DefaultThreads();
-    return RunSharded(policy, threads, checkpoint, &manifest, dir);
-  }
-  return RunSerial(policy, checkpoint, &manifest, dir);
+  // The planner follows the manifest, and honors num_threads as given: the
+  // shard loop runs correctly on one worker (shards execute sequentially), so
+  // an explicit num_threads=1 must not be silently promoted to 2.
+  return RunShards(policy, num_threads, checkpoint, &manifest, dir);
 }
 
-ExperimentResult Experiment::RunSerial(platform::PlatformPolicy* policy,
+ExperimentResult Experiment::RunShards(platform::PlatformPolicy* policy,
+                                       int num_threads,
                                        const CheckpointPolicy* checkpoint,
                                        const checkpoint::Manifest* resume,
                                        const std::string& resume_dir) const {
-  // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  ExperimentResult result;
-  result.mode = config_.trace_mode;
-  const workload::Calendar calendar = config_.MakeCalendar();
-  const std::vector<workload::RegionProfile> profiles = config_.ScaledProfiles();
-
-  result.population = workload::GeneratePopulation(profiles, config_.seed);
-
-  const bool streaming = config_.trace_mode == TraceMode::kStreaming;
-  trace::TraceSink& sink =
-      streaming ? static_cast<trace::TraceSink&>(result.streaming)
-                : static_cast<trace::TraceSink&>(result.store);
-
-  const checkpoint::ManifestEntry* entry = nullptr;
-  if (resume != nullptr) {
-    COLDSTART_CHECK(!resume->sharded &&
-                    "sharded checkpoint routed to the serial runner");
-    entry = FindEntry(resume, checkpoint::kSerialShard);
-    COLDSTART_CHECK(entry != nullptr && "serial manifest has no entry");
-  }
-
-  platform::Platform::Options options = PlatformOptions(config_);
-  options.function_cells = MakeFunctionCells(config_, result.population);
-  options.resuming = entry != nullptr;
-  sim::Simulator sim;
-  platform::Platform platform(result.population, profiles, calendar, sim, sink,
-                              options, policy);
-  // Pull-based arrival generation: the platform holds one day chunk at a time,
-  // so arrival memory is O(busiest day) rather than O(horizon).
-  auto stream = config_.workload_source().OpenStream(result.population, profiles,
-                                                     calendar, config_.seed);
-  int64_t start_day = 0;
-  if (entry != nullptr) {
-    start_day = RestoreShard(resume_dir, *entry, config_.Fingerprint(),
-                             static_cast<uint8_t>(config_.trace_mode),
-                             static_cast<uint32_t>(profiles.size()),
-                             checkpoint::kSerialShard, sim, policy, streaming,
-                             result.store, result.streaming, platform,
-                             std::move(stream));
-  } else {
-    platform.AttachArrivalStream(std::move(stream));
-  }
-
-  std::optional<CheckpointCommitter> committer;
-  std::function<void(int64_t)> commit;
-  if (checkpoint != nullptr) {
-    COLDSTART_CHECK(!checkpoint->dir.empty());
-    if (policy != nullptr) {
-      // Fail at attach time, not at the first day boundary hours in.
-      std::string probe;
-      COLDSTART_CHECK(policy->SavePolicyState(&probe) &&
-                      "policy is not checkpointable (SavePolicyState)");
-    }
-    committer.emplace(*checkpoint, config_.Fingerprint(),
-                      static_cast<uint8_t>(config_.trace_mode),
-                      static_cast<uint32_t>(profiles.size()), /*sharded=*/false,
-                      /*shards_per_region=*/1);
-    if (resume != nullptr) {
-      committer->SeedFrom(*resume);
-    }
-    commit = [&](int64_t day) {
-      committer->Commit(day, checkpoint::kSerialShard,
-                        BuildCheckpointPayload(sim, policy, streaming,
-                                               result.store, result.streaming,
-                                               platform));
-    };
-  }
-
-  result.interrupted_at_day =
-      RunShardDays(sim, platform, calendar.horizon(), start_day, checkpoint, commit);
-  // After the last checkpoint commit, interrupted or not. No-op in streaming mode.
-  result.store.Seal();
-
-  ResizeStats(result, profiles.size());
-  for (size_t r = 0; r < profiles.size(); ++r) {
-    CollectRegionStats(platform, static_cast<trace::RegionId>(r), result);
-  }
-  result.cost_ledger.MergeFrom(platform.cost_ledger());
-  result.events_processed = sim.events_processed();
-  result.sim_wall_seconds =
-      // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  return result;
-}
-
-ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
-                                        int num_threads,
-                                        const CheckpointPolicy* checkpoint,
-                                        const checkpoint::Manifest* resume,
-                                        const std::string& resume_dir) const {
+  const int threads =
+      num_threads > 0 ? num_threads : ParallelSweep::DefaultThreads();
+  const ShardPlan plan = PlanShards(config_, policy, threads, resume);
   const size_t regions = config_.profiles.size();
   const uint32_t cells = std::max<uint32_t>(config_.cells_per_region, 1u);
-
-  // Shard planner. A shard is (region, contiguous cell group); its id is
-  // region * K + group. K == 1 is plain region sharding — the only geometry
-  // available to capacity-coupled policies, since splitting a region's cells
-  // also splits its pools and load state. K > 1 (sub-region sharding) engages
-  // only when the scenario decomposes (cells > 1) and the policy never reads
-  // region-coupled state (is_function_local), and sizes itself to the thread
-  // budget: just enough groups per region to keep num_threads workers busy.
-  // A resume adopts the checkpointed geometry verbatim — shard ids must line
-  // up with the manifest entries.
-  uint32_t k = 1;
-  if (resume != nullptr) {
-    k = resume->shards_per_region;
-  } else if (cells > 1 && (policy == nullptr || policy->is_function_local())) {
-    const uint32_t want = static_cast<uint32_t>(
-        (static_cast<size_t>(num_threads) + regions - 1) / regions);
-    k = std::min(cells, std::max<uint32_t>(want, 1u));
-  }
-  if (k > 1) {
-    COLDSTART_CHECK((policy == nullptr || policy->is_function_local()) &&
-                    "sub-region (K > 1) geometry with a policy that reads "
-                    "region-coupled state");
-  }
-  const size_t num_shards = regions * k;
-
-  // Region-local policies run as one independent clone per shard (the caller's
-  // instance is only the configuration prototype). A policy that cannot clone
-  // falls back to the serial path — same results, one thread. (A resume never
-  // falls back: ResumeFrom checked CanShard before routing here.)
-  std::vector<std::unique_ptr<platform::PlatformPolicy>> clones(num_shards);
-  if (policy != nullptr) {
-    for (auto& clone : clones) {
-      clone = policy->CloneForShard();
-      if (clone == nullptr) {
-        COLDSTART_CHECK(resume == nullptr);
-        return RunSerial(policy, checkpoint);
-      }
-    }
-  }
+  const uint32_t k = plan.k;
+  const size_t num_shards = plan.sharded ? regions * k : 1;
 
   // LINT-ALLOW(wall-clock): diagnostics-only wall timing for sim_wall_seconds; never reaches traces or aggregates
   const auto wall_start = std::chrono::steady_clock::now();
@@ -529,8 +436,8 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
 
   // Workload generation is shared only through immutable inputs: every shard
   // simulates against the same population (read-only) and opens its *own*
-  // filtered arrival stream — synthetic or replayed, the runner does not care.
-  // The per-shard streams partition the serial stream with relative order
+  // arrival stream — synthetic or replayed, the runner does not care. The
+  // per-shard streams partition the whole shard's stream with relative order
   // preserved (the ArrivalStream contract), so nothing is materialized or
   // repartitioned up front: each shard pulls one day of its slice's arrivals at
   // a time.
@@ -538,77 +445,69 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
   const std::shared_ptr<const std::vector<uint32_t>> function_cells =
       MakeFunctionCells(config_, result.population);
 
-  // One shard per (region, cell group): own simulator, own platform, own store.
+  // One sink per shard; each shard also has its own simulator and platform.
   // Shards share only immutable inputs, so they are free of data races by
-  // construction; the TSan job pins that. Region stat rows are written by up to
-  // K shards, so each shard banks its own scalars here and the fold below runs
-  // after the sweep joins.
-  struct ShardOutcome {
+  // construction; the TSan job pins that. Region stat rows can be written by up
+  // to K shards, so each shard folds its stats into `result` under `fold_mu`.
+  struct ShardSink {
     trace::TraceStore store;                  // kFull.
     trace::StreamingAggregates streaming;     // kStreaming.
-    uint64_t events = 0;
-    int64_t visible_cold_starts = 0;
-    int64_t prewarm_spawns = 0;
-    int64_t delayed_allocations = 0;
-    int64_t scratch_allocations = 0;
-    int64_t cold_start_latency_sum_us = 0;
-    platform::ResourceCostLedger cost_ledger;
   };
-  std::vector<ShardOutcome> shards(num_shards);
+  std::vector<ShardSink> shards(num_shards);
   ResizeStats(result, regions);
+  std::mutex fold_mu;
   const ScenarioConfig& config = config_;
   const workload::Population& population = result.population;
   const uint64_t fingerprint = config_.Fingerprint();
 
-  if (resume != nullptr) {
-    COLDSTART_CHECK(resume->sharded &&
-                    "serial checkpoint routed to the sharded runner");
-  }
   std::optional<CheckpointCommitter> committer;
   if (checkpoint != nullptr) {
     COLDSTART_CHECK(!checkpoint->dir.empty());
     if (policy != nullptr) {
+      // Fail at attach time, not at the first day boundary hours in.
       std::string probe;
       COLDSTART_CHECK(policy->SavePolicyState(&probe) &&
                       "policy is not checkpointable (SavePolicyState)");
     }
     committer.emplace(*checkpoint, fingerprint,
                       static_cast<uint8_t>(config_.trace_mode),
-                      static_cast<uint32_t>(regions), /*sharded=*/true, k);
+                      static_cast<uint32_t>(regions), plan.sharded, k);
     if (resume != nullptr) {
       committer->SeedFrom(*resume);
     }
   }
-  // One stop day per shard; -1 = ran to completion. The stop flag is global,
-  // but shards notice it at their own next day boundary, so an interrupted
-  // sharded run's shards may rest at different days — each shard's manifest
-  // entry records its own.
-  std::vector<int64_t> stop_days(num_shards, -1);
 
-  ParallelSweep sweep(num_threads);
+  // A single job runs inline, so the whole shard stays on the calling thread.
+  ParallelSweep sweep(threads);
   for (size_t s = 0; s < num_shards; ++s) {
     sweep.Add([&, s] {
-      const trace::RegionId region = static_cast<trace::RegionId>(s / k);
-      const uint32_t group = static_cast<uint32_t>(s % k);
+      const uint32_t id =
+          plan.sharded ? static_cast<uint32_t>(s) : checkpoint::kSerialShard;
+      platform::PlatformPolicy* shard_policy =
+          plan.clones.empty() ? policy : plan.clones[s].get();
       trace::TraceSink& sink =
           streaming ? static_cast<trace::TraceSink&>(shards[s].streaming)
                     : static_cast<trace::TraceSink&>(shards[s].store);
-      const checkpoint::ManifestEntry* entry =
-          FindEntry(resume, static_cast<uint32_t>(s));
+      const checkpoint::ManifestEntry* entry = FindEntry(resume, id);
       platform::Platform::Options options = PlatformOptions(config);
       options.function_cells = function_cells;
       options.resuming = entry != nullptr;
       sim::Simulator sim;
       platform::Platform platform(population, profiles, calendar, sim,
-                                  sink, options, clones[s].get());
-      // K == 1: region filter only, the legacy per-region partition. K > 1:
-      // the region's cells split into K contiguous groups — group g simulates
+                                  sink, options, shard_policy);
+      // The whole shard reads the unfiltered stream. A sharded K == 1 shard
+      // filters by region, the legacy per-region partition. K > 1: the
+      // region's cells split into K contiguous groups — group g simulates
       // cells [g * cells / K, (g + 1) * cells / K).
+      std::optional<trace::RegionId> region;
       std::optional<workload::CellSlice> slice;
-      if (k > 1) {
-        slice = workload::CellSlice{function_cells,
-                                    static_cast<uint32_t>(group * cells / k),
-                                    static_cast<uint32_t>((group + 1) * cells / k)};
+      if (plan.sharded) {
+        region = static_cast<trace::RegionId>(s / k);
+        const uint32_t group = static_cast<uint32_t>(s % k);
+        if (k > 1) {
+          slice = workload::CellSlice{function_cells, group * cells / k,
+                                      (group + 1) * cells / k};
+        }
       }
       auto stream = config.workload_source().OpenStream(
           population, profiles, calendar, config.seed, region, slice);
@@ -616,82 +515,71 @@ ExperimentResult Experiment::RunSharded(platform::PlatformPolicy* policy,
       if (entry != nullptr) {
         start_day = RestoreShard(resume_dir, *entry, fingerprint,
                                  static_cast<uint8_t>(config.trace_mode),
-                                 static_cast<uint32_t>(regions),
-                                 static_cast<uint32_t>(s), sim, clones[s].get(),
-                                 streaming, shards[s].store, shards[s].streaming,
-                                 platform, std::move(stream));
+                                 static_cast<uint32_t>(regions), id, sim,
+                                 shard_policy, streaming, shards[s].store,
+                                 shards[s].streaming, platform, std::move(stream));
       } else {
         platform.AttachArrivalStream(std::move(stream));
       }
       std::function<void(int64_t)> commit;
       if (checkpoint != nullptr) {
         commit = [&, s](int64_t day) {
-          committer->Commit(day, static_cast<uint32_t>(s),
-                            BuildCheckpointPayload(sim, clones[s].get(),
-                                                   streaming, shards[s].store,
+          committer->Commit(day, id,
+                            BuildCheckpointPayload(sim, shard_policy, streaming,
+                                                   shards[s].store,
                                                    shards[s].streaming, platform));
         };
       }
-      stop_days[s] = RunShardDays(sim, platform, calendar.horizon(), start_day,
-                                  checkpoint, commit);
+      // The stop flag is global, but shards notice it at their own next day
+      // boundary, so an interrupted run's shards may rest at different days —
+      // each shard's manifest entry records its own.
+      const int64_t stop_day = RunShardDays(sim, platform, calendar.horizon(),
+                                            start_day, checkpoint, commit);
       // On the shard's own thread, after its last checkpoint commit, interrupted or not.
       shards[s].store.Seal();
-      shards[s].events = sim.events_processed();
-      // This shard's platform only ever saw its own cell group's arrivals, so
-      // its region row holds exactly this shard's contribution.
-      shards[s].visible_cold_starts = platform.cold_starts(region);
-      shards[s].prewarm_spawns = platform.prewarm_spawns(region);
-      shards[s].delayed_allocations = platform.delayed_allocations(region);
-      shards[s].scratch_allocations = platform.scratch_allocations(region);
-      shards[s].cold_start_latency_sum_us =
-          platform.cold_start_latency_sum_us(region);
-      shards[s].cost_ledger = platform.cost_ledger();
+      // This platform only ever saw its own shard's arrivals, so its region
+      // rows hold exactly this shard's contribution. Integer (and 128-bit
+      // fixed-point) adds: fold order cannot change the sums, so the folded
+      // stats and ledger match at any thread count, bit for bit.
+      const std::lock_guard<std::mutex> lock(fold_mu);
+      const size_t first = plan.sharded ? s / k : 0;
+      const size_t last = plan.sharded ? first + 1 : regions;
+      for (size_t r = first; r < last; ++r) {
+        CollectRegionStats(platform, static_cast<trace::RegionId>(r), result);
+      }
+      result.cost_ledger.MergeFrom(platform.cost_ledger());
+      result.events_processed += sim.events_processed();
+      result.interrupted_at_day = std::max(result.interrupted_at_day, stop_day);
     });
   }
   sweep.Run();
-  for (const int64_t d : stop_days) {
-    result.interrupted_at_day = std::max(result.interrupted_at_day, d);
-  }
 
   // Fold shard counters back into the caller's prototype so policy statistics
   // (prewarms_issued() and friends) read the same whether the run sharded or not.
-  if (policy != nullptr) {
-    for (const auto& clone : clones) {
-      policy->AbsorbShardStats(*clone);
-    }
+  for (const auto& clone : plan.clones) {
+    policy->AbsorbShardStats(*clone);
   }
 
   // Deterministic merge. kFull: every shard emitted the identical function table
   // and sealed its event tables into the canonical (time, region, id) order, which
-  // is total, so the merged store is byte-identical to the serial run's regardless
-  // of shard scheduling or geometry. kStreaming: shard aggregates fold in shard-id
-  // order; every accumulator is a sum, count, max, or fixed-point total —
-  // associative and commutative — so any partition of the serial record sequence
-  // merges to the identical aggregates at any thread count and any K.
+  // is total, so the merged store is byte-identical to the whole shard's
+  // regardless of shard scheduling or geometry. kStreaming: shard aggregates fold
+  // in shard-id order; every accumulator is a sum, count, max, or fixed-point
+  // total — associative and commutative — so any partition of the whole shard's
+  // record sequence merges to the identical aggregates at any thread count and
+  // any K.
   if (streaming) {
     result.streaming = std::move(shards[0].streaming);
     for (size_t s = 1; s < num_shards; ++s) {
       result.streaming.MergeFrom(shards[s].streaming);
     }
-    result.store.Seal();  // Empty, as in the serial run.
+    result.store.Seal();  // Empty: a streaming run keeps no records.
   } else {
     std::vector<trace::TraceStore> parts;
-    for (ShardOutcome& shard : shards) {
+    for (ShardSink& shard : shards) {
       parts.push_back(std::move(shard.store));
     }
     result.store = trace::TraceStore::MergeSealed(std::move(parts));
-  }
-  for (size_t s = 0; s < num_shards; ++s) {
-    const size_t region = s / k;
-    result.events_processed += shards[s].events;
-    result.visible_cold_starts[region] += shards[s].visible_cold_starts;
-    result.prewarm_spawns[region] += shards[s].prewarm_spawns;
-    result.delayed_allocations[region] += shards[s].delayed_allocations;
-    result.scratch_allocations[region] += shards[s].scratch_allocations;
-    result.cold_start_latency_sum_us[region] += shards[s].cold_start_latency_sum_us;
-    // Integer (and 128-bit fixed-point) adds: fold order cannot change the sums,
-    // so the merged ledger matches the serial run bit for bit.
-    result.cost_ledger.MergeFrom(shards[s].cost_ledger);
   }
 
   result.sim_wall_seconds =
@@ -708,14 +596,6 @@ WorkloadStream OpenWorkloadStream(const ScenarioConfig& config) {
   ws.arrivals = config.workload_source().OpenStream(ws.population, profiles,
                                                     calendar, config.seed);
   return ws;
-}
-
-WorkloadSnapshot SnapshotWorkload(const ScenarioConfig& config) {
-  WorkloadStream ws = OpenWorkloadStream(config);
-  WorkloadSnapshot snap;
-  snap.arrivals = workload::DrainArrivalStream(*ws.arrivals);
-  snap.population = std::move(ws.population);
-  return snap;
 }
 
 std::string Experiment::DefaultCacheDir() {

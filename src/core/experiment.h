@@ -4,19 +4,21 @@
 // default; a ReplaySource streams a recorded trace instead — the runner treats
 // both identically, including region sharding).
 //
-// Run() executes the full pipeline. When the scenario has several regions and the
-// policy is region-local (the baseline always is), the run is sharded: one
-// Simulator + Platform per shard on worker threads, with per-shard RNG substreams
-// and id namespaces, merged back into a single sealed TraceStore that is
-// bit-identical to the serial run. A shard is a region — or, when the scenario
-// decomposes into capacity cells (ScenarioConfig::cells_per_region > 1) and the
-// policy is function-local, a (region, cell group) slice: the planner splits each
-// region into K = min(cells, ceil(threads / regions)) sub-region shards so runs
-// with fewer regions than cores still scale (docs/determinism.md "Sub-region
-// sharding"). Cross-region policies (and policies that cannot clone per-shard
-// state) fall back to the serial path automatically. Thread count:
-// $COLDSTART_THREADS, else hardware_concurrency; pass num_threads = 1 to force the
-// serial path.
+// Run() executes the full pipeline as a plan of shards, each with its own
+// Simulator + Platform, per-shard RNG substreams and id namespaces, run on
+// worker threads and merged back into a single sealed TraceStore. One planner
+// picks the plan. With more than one thread, several regions (or capacity
+// cells, ScenarioConfig::cells_per_region > 1) and a region-local policy that
+// can clone per-shard state (the baseline always qualifies), the run shards: a
+// shard is a region — or, when the policy is also function-local, a (region,
+// cell group) slice, the planner splitting each region into
+// K = min(cells, ceil(threads / regions)) sub-region shards so runs with fewer
+// regions than cores still scale (docs/determinism.md "Sub-region sharding").
+// Otherwise the plan is one whole shard that owns every region and runs on the
+// calling thread: the one-shard plan. Cross-region policies always take it. Every
+// plan produces the same bit-identical results. Thread count:
+// $COLDSTART_THREADS, else hardware_concurrency; pass num_threads = 1 to force
+// the one-shard plan.
 //
 // Trace recording obeys config.trace_mode: kFull materializes the exact record
 // tables in result.store; kStreaming folds records into result.streaming in O(1)
@@ -52,8 +54,8 @@ namespace coldstart::core {
 // (or ResumeFrom()), the runner snapshots its full state into `dir` every
 // `every_n_days` completed days: a kill at any instant loses at most the work
 // since the last committed checkpoint, and ResumeFrom() continues the run to a
-// final trace bit-identical to the uninterrupted one. Works serial and
-// sharded (one checkpoint stream per shard, merged manifest). Requires a
+// final trace bit-identical to the uninterrupted one. Works for every plan
+// (one checkpoint stream per shard, merged manifest). Requires a
 // checkpointable policy (SavePolicyState) when a policy is attached —
 // enforced loudly up front, not at the first checkpoint.
 struct CheckpointPolicy {
@@ -91,7 +93,7 @@ struct ExperimentResult {
   // any thread count, and restored from the cache file on cache hits.
   platform::ResourceCostLedger cost_ledger;
   // Total simulator events. Note: a sharded run processes a handful more events
-  // than a serial one (per-shard day starters and policy ticks); the traces and the
+  // than the one-shard plan (per-shard day starters and policy ticks); the traces and the
   // per-region aggregates above are nevertheless identical.
   uint64_t events_processed = 0;
   double sim_wall_seconds = 0;
@@ -108,9 +110,9 @@ class Experiment {
   const ScenarioConfig& config() const { return config_; }
 
   // Runs the scenario (optionally under a policy). Deterministic in the config:
-  // serial and sharded execution produce bit-identical sealed traces, so the
-  // thread count never changes results. num_threads: 0 = default
-  // ($COLDSTART_THREADS, else hardware_concurrency), 1 = serial, n = cap.
+  // the one-shard and sharded plans produce bit-identical sealed traces, so
+  // the thread count never changes results. num_threads: 0 = default
+  // ($COLDSTART_THREADS, else hardware_concurrency), 1 = one shard, n = cap.
   // With a CheckpointPolicy the run additionally snapshots its state at day
   // boundaries (same results — checkpointing never perturbs the simulation).
   ExperimentResult Run(platform::PlatformPolicy* policy = nullptr,
@@ -120,9 +122,9 @@ class Experiment {
   // Resumes a run from the latest committed checkpoints in `dir` and carries
   // it to completion (or to the next stop). The config and policy must match
   // the checkpointed run — fingerprint and policy checkpointability are
-  // CHECKed. The execution mode follows the manifest: a sharded checkpoint
-  // resumes sharded with the checkpointed shards_per_region geometry, a serial
-  // one resumes serially; manifest entries outside that geometry (stale shard
+  // CHECKed. The plan follows the manifest: a sharded checkpoint resumes
+  // sharded with the checkpointed shards_per_region geometry, a serial one
+  // (sharded == false) resumes as the one-shard plan; manifest entries outside that geometry (stale shard
   // ids from a different K, duplicates) abort loudly. num_threads is honored
   // as given — a sharded resume runs fine on one worker.
   // The completed result is bit-identical to the uninterrupted run's.
@@ -131,9 +133,9 @@ class Experiment {
                               int num_threads = 0,
                               const CheckpointPolicy* checkpoint = nullptr) const;
 
-  // True when Run(policy) may take the sharded path: multiple regions (or
-  // cells_per_region > 1 with a function-local policy) and a policy that is
-  // region-local and shard-clonable (or no policy at all).
+  // True when Run(policy) with more than one thread plans several shards:
+  // multiple regions (or cells_per_region > 1 with a function-local policy)
+  // and a policy that is region-local and shard-clonable (or no policy at all).
   bool CanShard(platform::PlatformPolicy* policy) const;
 
   // Baseline run with trace caching under `cache_dir`. Policy runs must use Run()
@@ -148,16 +150,13 @@ class Experiment {
   static std::string DefaultCacheDir();
 
  private:
-  // `resume` (with `resume_dir`) restores each shard from its manifest entry
-  // before running; null means a fresh run from day 0.
-  ExperimentResult RunSerial(platform::PlatformPolicy* policy,
+  // Plans the shards and runs them. `resume` (with `resume_dir`) restores each
+  // shard from its manifest entry before running; null means a fresh run from
+  // day 0.
+  ExperimentResult RunShards(platform::PlatformPolicy* policy, int num_threads,
                              const CheckpointPolicy* checkpoint = nullptr,
                              const checkpoint::Manifest* resume = nullptr,
                              const std::string& resume_dir = std::string()) const;
-  ExperimentResult RunSharded(platform::PlatformPolicy* policy, int num_threads,
-                              const CheckpointPolicy* checkpoint = nullptr,
-                              const checkpoint::Manifest* resume = nullptr,
-                              const std::string& resume_dir = std::string()) const;
 
   ScenarioConfig config_;
 };
@@ -174,19 +173,6 @@ struct WorkloadStream {
   std::unique_ptr<workload::ArrivalStream> arrivals;
 };
 WorkloadStream OpenWorkloadStream(const ScenarioConfig& config);
-
-// Eager variant: the full sorted arrival vector (the concatenation of
-// OpenWorkloadStream's chunks — bit-identical by the ArrivalStream contract).
-// Deliberately still materialized: its callers are tests and drivers that need
-// random access to the whole stream (round-trip equality asserts, rate-scaled
-// comparisons) on short horizons. Costs ~16 bytes/arrival — for anything
-// long-horizon or summary-only, use OpenWorkloadStream (or just Run(), which
-// never materializes arrivals).
-struct WorkloadSnapshot {
-  workload::Population population;
-  std::vector<workload::ArrivalEvent> arrivals;
-};
-WorkloadSnapshot SnapshotWorkload(const ScenarioConfig& config);
 
 }  // namespace coldstart::core
 

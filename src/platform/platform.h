@@ -138,11 +138,6 @@ class Platform {
   // event total order identical to per-arrival scheduling.
   void AttachArrivalStream(std::unique_ptr<workload::ArrivalStream> stream);
 
-  // Compatibility shim for callers holding an eager (time-sorted) vector:
-  // wraps it in a MaterializedArrivalStream and attaches it. Same event total
-  // order as streaming generation — the vector is just a pre-pulled stream.
-  void InjectArrivals(std::vector<workload::ArrivalEvent> arrivals);
-
   // Writes function records + flushes still-alive pods; call once after the run.
   void Finalize();
 
@@ -181,6 +176,7 @@ class Platform {
   bool HasAvailablePod(trace::FunctionId function) const;
   int alive_pod_count(trace::FunctionId function) const;
   const std::vector<workload::RegionProfile>& profiles() const { return profiles_; }
+  const workload::Population& population() const { return population_; }
   sim::Simulator& simulator() { return sim_; }
 
   // --- Stats. ---

@@ -1,5 +1,8 @@
 #include "policy/cross_region.h"
 
+#include "common/byte_serde.h"
+#include "common/check.h"
+
 namespace coldstart::policy {
 
 CrossRegionPolicy::CrossRegionPolicy() : CrossRegionPolicy(Options{}) {}
@@ -36,6 +39,22 @@ trace::RegionId CrossRegionPolicy::RouteColdStart(const workload::FunctionSpec& 
   }
   ++offloads_;
   return static_cast<trace::RegionId>(best);
+}
+
+bool CrossRegionPolicy::SavePolicyState(std::string* out) const {
+  ByteWriter w;
+  w.I64(offloads_);
+  *out = w.Take();
+  return true;
+}
+
+bool CrossRegionPolicy::RestorePolicyState(std::string_view blob) {
+  COLDSTART_CHECK(offloads_ == 0);
+  ByteReader r(blob);
+  offloads_ = r.I64();
+  COLDSTART_CHECK_GE(offloads_, 0);
+  COLDSTART_CHECK(r.AtEnd());
+  return true;
 }
 
 }  // namespace coldstart::policy

@@ -8,16 +8,18 @@
 #ifndef COLDSTART_POLICY_CROSS_REGION_H_
 #define COLDSTART_POLICY_CROSS_REGION_H_
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "platform/platform.h"
 
 namespace coldstart::policy {
 
-// Routes cold starts across regions, so it is not region-local and never runs
-// under the sharded runner (is_region_local() == false); offloads_ is
-// diagnostics-only bookkeeping the serial runner reads back at the end.
-// LINT-ALLOW(policy-hooks): not region-local — the sharded runner rejects it, so shard/checkpoint hooks are unreachable
+// Routes cold starts across regions, so it is not region-local
+// (is_region_local() == false) and always runs as the one-shard plan, on the
+// caller's instance. Its only state, the offloads_ counter, checkpoints.
+// LINT-ALLOW(policy-hooks): not region-local, so the shard planner never clones it and CloneForShard is unreachable
 class CrossRegionPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
@@ -33,9 +35,12 @@ class CrossRegionPolicy : public platform::PlatformPolicy {
   void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
   trace::RegionId RouteColdStart(const workload::FunctionSpec& spec, SimTime now) override;
 
-  // Routing decisions read every region's load and move pods across regions, so the
-  // sharded runner must fall back to the serial path for this policy.
+  // Routing decisions read every region's load and move pods across regions, so
+  // the planner runs this policy as one shard that owns every region.
   bool is_region_local() const override { return false; }
+
+  bool SavePolicyState(std::string* out) const override;
+  bool RestorePolicyState(std::string_view blob) override;
 
   int64_t offloads() const { return offloads_; }
 

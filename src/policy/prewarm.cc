@@ -133,16 +133,22 @@ bool ProfilePrewarmPolicy::SavePolicyState(std::string* out) const {
 }
 
 bool ProfilePrewarmPolicy::RestorePolicyState(std::string_view blob) {
-  COLDSTART_CHECK(profiles_.empty() && watch_list_.empty());
+  COLDSTART_CHECK(platform_ != nullptr && profiles_.empty() && watch_list_.empty());
+  const size_t num_functions = platform_->population().functions.size();
   ByteReader r(blob);
   prewarms_issued_ = r.I64();
   const uint64_t watched = r.U64();
+  int64_t prev = -1;
   for (uint64_t i = 0; i < watched; ++i) {
-    watch_list_.insert(static_cast<trace::FunctionId>(r.U64()));
+    const trace::FunctionId fid = platform::NextAscendingFid(r.U64(), prev);
+    COLDSTART_CHECK_LT(fid, num_functions);
+    watch_list_.insert(watch_list_.end(), fid);
   }
   const uint64_t n = r.U64();
+  prev = -1;
   for (uint64_t i = 0; i < n; ++i) {
-    const auto fid = static_cast<trace::FunctionId>(r.U64());
+    const trace::FunctionId fid = platform::NextAscendingFid(r.U64(), prev);
+    COLDSTART_CHECK_LT(fid, num_functions);
     Profile& prof = profiles_[fid];
     prof.days_observed = static_cast<int>(r.I64());
     r.Raw(prof.per_minute.data(), prof.per_minute.size() * sizeof(float));

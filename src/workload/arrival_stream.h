@@ -99,9 +99,8 @@ class ArrivalStream {
 };
 
 // Wraps an already-materialized, (time, function)-sorted arrival vector as a
-// stream of day chunks. Compatibility bridge for callers that still hold eager
-// vectors (Platform::InjectArrivals, tests, benchmarks); it obviously does not
-// reduce peak memory.
+// stream of day chunks. Bridge for callers that hold eager vectors (tests,
+// benchmarks); it obviously does not reduce peak memory.
 class MaterializedArrivalStream final : public ArrivalStream {
  public:
   // `num_days` is ceil(horizon / kDay): the chunk count the stream must yield,
@@ -119,8 +118,8 @@ class MaterializedArrivalStream final : public ArrivalStream {
   int64_t num_days_ = 0;
 };
 
-// Concatenates every remaining chunk (the eager shim shared by
-// WorkloadSource::Arrivals and tests).
+// Concatenates every remaining chunk: the eager arrival vector, for tests and
+// short-horizon tools.
 std::vector<ArrivalEvent> DrainArrivalStream(ArrivalStream& stream);
 
 }  // namespace coldstart::workload

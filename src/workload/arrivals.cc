@@ -219,11 +219,4 @@ std::vector<SimTime> GenerateFunctionArrivals(const FunctionSpec& spec,
   return out;
 }
 
-std::vector<ArrivalEvent> GenerateArrivals(const Population& pop,
-                                           const std::vector<RegionProfile>& profiles,
-                                           const Calendar& calendar, uint64_t seed) {
-  SyntheticArrivalStream stream(pop, profiles, calendar, seed);
-  return DrainArrivalStream(stream);
-}
-
 }  // namespace coldstart::workload

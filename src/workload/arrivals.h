@@ -110,13 +110,6 @@ class SyntheticArrivalStream final : public ArrivalStream {
   int64_t num_days_ = 0;
 };
 
-// Generates all exogenous arrivals in [0, calendar.horizon()), sorted by
-// (time, function). Deterministic in (pop, profiles, calendar, seed). Eager shim
-// over SyntheticArrivalStream — prefer the stream for anything long-horizon.
-std::vector<ArrivalEvent> GenerateArrivals(const Population& pop,
-                                           const std::vector<RegionProfile>& profiles,
-                                           const Calendar& calendar, uint64_t seed);
-
 // Arrivals for a single function, sorted by time (exposed for tests and workload
 // inspection tools). Eager shim over FunctionArrivalCursor.
 std::vector<SimTime> GenerateFunctionArrivals(const FunctionSpec& spec,

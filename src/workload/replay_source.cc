@@ -47,7 +47,7 @@ ReplaySource::ReplaySource(std::string name, std::vector<RawEvent> events,
                            ReplayOptions options)
     : name_(std::move(name)), events_(std::move(events)), options_(options) {
   // Keep the recorded stream time-ordered so windowing can early-exit; the final
-  // canonical (time, function) order is established per-Arrivals() call, after
+  // canonical (time, function) order is established per stream chunk, after
   // remapping.
   std::stable_sort(events_.begin(), events_.end(),
                    [](const RawEvent& a, const RawEvent& b) { return a.time < b.time; });

@@ -50,7 +50,7 @@ class ReplaySource final : public WorkloadSource {
   // One recorded invocation before remapping. For native modes (arrivals /
   // requests CSV) `function_key` is already a population function id and
   // `mapped` is true; for external traces it is a hash of the opaque function
-  // name, mapped onto the population at Arrivals() time.
+  // name, mapped onto the population as the stream yields it.
   struct RawEvent {
     SimTime time = 0;
     uint64_t function_key = 0;
@@ -112,8 +112,8 @@ class ReplaySource final : public WorkloadSource {
 };
 
 // Lossless arrival-stream checkpoint ("timestamp_us,function" numeric rows).
-// Round trip: WriteArrivalsCsv(GenerateArrivals(...)) -> FromArrivalsCsv yields a
-// source whose Arrivals() equals the original vector exactly.
+// Round trip: WriteArrivalsCsv(DrainArrivalStream(...)) -> FromArrivalsCsv yields
+// a source whose drained stream equals the original vector exactly.
 bool WriteArrivalsCsv(const std::vector<ArrivalEvent>& arrivals,
                       const std::string& path);
 // Streaming variant: drains `stream` chunk by chunk into the same format without

@@ -4,14 +4,6 @@
 
 namespace coldstart::workload {
 
-std::vector<ArrivalEvent> WorkloadSource::Arrivals(
-    const Population& pop, const std::vector<RegionProfile>& profiles,
-    const Calendar& calendar, uint64_t seed) const {
-  const std::unique_ptr<ArrivalStream> stream =
-      OpenStream(pop, profiles, calendar, seed);
-  return DrainArrivalStream(*stream);
-}
-
 uint64_t SyntheticSource::Fingerprint() const {
   // The generator's behaviour is fully determined by (pop, profiles, calendar,
   // seed), which the scenario fingerprint already covers; a versioned tag is all

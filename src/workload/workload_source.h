@@ -10,9 +10,8 @@
 // one.
 //
 // Arrivals are delivered through the pull-based, day-chunked ArrivalStream
-// (arrival_stream.h): OpenStream is the one generation primitive and the eager
-// Arrivals() vector is a compatibility shim defined as the concatenation of every
-// chunk. Peak arrival memory of a run is therefore O(busiest day), not O(days) —
+// (arrival_stream.h): OpenStream is the one generation primitive; callers that
+// need the eager vector drain a stream (DrainArrivalStream). Peak arrival memory of a run is therefore O(busiest day), not O(days) —
 // see docs/architecture.md for the memory model and docs/determinism.md for the
 // contracts implementations must keep.
 #ifndef COLDSTART_WORKLOAD_WORKLOAD_SOURCE_H_
@@ -61,14 +60,6 @@ class WorkloadSource {
       const Calendar& calendar, uint64_t seed,
       std::optional<trace::RegionId> region = std::nullopt,
       std::optional<CellSlice> cell_slice = std::nullopt) const = 0;
-
-  // Eager compatibility shim: the concatenation of every chunk of
-  // OpenStream(pop, profiles, calendar, seed) — all arrivals sorted by
-  // (time, function). Materializes ~16 bytes/arrival; prefer OpenStream for
-  // anything long-horizon.
-  std::vector<ArrivalEvent> Arrivals(const Population& pop,
-                                     const std::vector<RegionProfile>& profiles,
-                                     const Calendar& calendar, uint64_t seed) const;
 };
 
 // The built-in generator (modulated Poisson + timers) behind the interface.

@@ -254,6 +254,35 @@ TEST_F(CheckpointTest, KillAndResumeWithCheckpointablePolicy) {
   EXPECT_EQ(uninterrupted.prewarm_spawns, resumed.prewarm_spawns);
 }
 
+TEST_F(CheckpointTest, KillAndResumeCrossRegionPolicy) {
+  // CrossRegionPolicy is not region-local, so every thread count runs it as
+  // the one-shard plan — through the same checkpoint path as any other run.
+  ScenarioConfig config = TinyScenario();
+  config.record_requests = false;
+  const Experiment experiment(config);
+  policy::CrossRegionPolicy::Options options;
+  options.home_pressure_threshold = 1;
+  options.peer_quiet_threshold = 1000;
+  options.offload_synchronous = true;
+
+  policy::CrossRegionPolicy plain_policy(options);
+  const ExperimentResult uninterrupted = experiment.Run(&plain_policy, 4);
+  ASSERT_GT(plain_policy.offloads(), 0);
+
+  policy::CrossRegionPolicy killed_policy(options);
+  RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/4, &killed_policy);
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+  EXPECT_FALSE(manifest.sharded);
+
+  policy::CrossRegionPolicy resumed_policy(options);
+  const ExperimentResult resumed = experiment.ResumeFrom(dir_, &resumed_policy, 4);
+  EXPECT_EQ(resumed.interrupted_at_day, -1);
+  EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
+  EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
+  EXPECT_EQ(plain_policy.offloads(), resumed_policy.offloads());
+}
+
 // --- Cooperative stop: the SIGINT path, minus the signal. ---
 
 TEST_F(CheckpointTest, StopFlagInterruptsAtBoundaryAndResumes) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "checkpoint/checkpoint.h"
 #include "common/byte_serde.h"
 #include "core/coldstart_lab.h"
 
@@ -107,9 +108,11 @@ TEST(ShardedExperimentTest, StreamedArrivalsBitIdenticalToEagerInjection) {
   const ExperimentResult serial = experiment.Run(nullptr, 1);
   const ExperimentResult sharded = experiment.Run(nullptr, 4);
 
-  // Eager reference: materialize the whole arrival vector up front and inject it
-  // through the compatibility shim, mirroring RunSerial by hand.
-  core::WorkloadSnapshot snapshot = core::SnapshotWorkload(config);
+  // Eager reference: materialize the whole arrival vector up front and attach
+  // it as a MaterializedArrivalStream, mirroring the one-shard plan by hand.
+  core::WorkloadStream exported = core::OpenWorkloadStream(config);
+  std::vector<workload::ArrivalEvent> arrivals =
+      workload::DrainArrivalStream(*exported.arrivals);
   const workload::Calendar calendar = config.MakeCalendar();
   const auto profiles = config.ScaledProfiles();
   trace::TraceStore store;
@@ -118,9 +121,10 @@ TEST(ShardedExperimentTest, StreamedArrivalsBitIdenticalToEagerInjection) {
   options.seed = config.seed;
   options.record_requests = config.record_requests;
   options.default_keep_alive = config.default_keep_alive;
-  platform::Platform platform(snapshot.population, profiles, calendar, sim, store,
+  platform::Platform platform(exported.population, profiles, calendar, sim, store,
                               options);
-  platform.InjectArrivals(std::move(snapshot.arrivals));
+  platform.AttachArrivalStream(std::make_unique<workload::MaterializedArrivalStream>(
+      std::move(arrivals), workload::NumDayChunks(calendar)));
   sim.RunUntil(calendar.horizon());
   platform.Finalize();
   store.Seal();
@@ -317,6 +321,78 @@ TEST(ShardedExperimentTest, CrossRegionPolicyFallsBackToSerial) {
   combo.Add(std::make_unique<policy::CrossRegionPolicy>());
   EXPECT_FALSE(combo.is_region_local());
   EXPECT_FALSE(experiment.CanShard(&combo));
+}
+
+// --- The one-shard plan: what the planner runs when it cannot shard. ---
+
+// Offloads every cold start it can, so the cross-region path is busy even on a
+// small scenario.
+policy::CrossRegionPolicy::Options EagerOffload() {
+  policy::CrossRegionPolicy::Options options;
+  options.home_pressure_threshold = 1;
+  options.peer_quiet_threshold = 1000;
+  options.offload_synchronous = true;
+  return options;
+}
+
+TEST(OneShardPlanTest, CrossRegionPolicyBitIdenticalAtAnyThreadCount) {
+  ScenarioConfig config = core::SmallScenario();
+  config.days = 3;
+  const Experiment experiment(config);
+  policy::CrossRegionPolicy one_thread(EagerOffload());
+  const ExperimentResult serial = experiment.Run(&one_thread, 1);
+  policy::CrossRegionPolicy four_threads(EagerOffload());
+  const ExperimentResult parallel = experiment.Run(&four_threads, 4);
+
+  ASSERT_GT(one_thread.offloads(), 0);
+  EXPECT_EQ(one_thread.offloads(), four_threads.offloads());
+  EXPECT_EQ(trace::Digest(serial.store), trace::Digest(parallel.store));
+  ExpectAggregatesIdentical(serial, parallel);
+  EXPECT_EQ(serial.events_processed, parallel.events_processed);
+}
+
+// Region-local and checkpointable, but declines to clone: the planner must fall
+// back to the one-shard plan.
+class UnclonableKeepAlivePolicy : public policy::DynamicKeepAlivePolicy {
+ public:
+  std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
+    return nullptr;
+  }
+};
+
+TEST(OneShardPlanTest, UnclonablePolicyRunsAsTheWholeShard) {
+  namespace fs = std::filesystem;
+  ScenarioConfig config = core::SmallScenario();
+  config.days = 3;
+  config.record_requests = false;
+  const Experiment experiment(config);
+  UnclonableKeepAlivePolicy one_thread;
+  ASSERT_TRUE(one_thread.is_region_local());
+  EXPECT_FALSE(experiment.CanShard(&one_thread));
+  const ExperimentResult serial = experiment.Run(&one_thread, 1);
+
+  const fs::path dir = fs::temp_directory_path() / "coldstart_unclonable_test";
+  fs::remove_all(dir);
+  core::CheckpointPolicy ckpt;
+  ckpt.dir = dir.string();
+  UnclonableKeepAlivePolicy four_threads;
+  const ExperimentResult parallel = experiment.Run(&four_threads, 4, &ckpt);
+
+  ExpectStoresIdentical(serial.store, parallel.store);
+  ExpectAggregatesIdentical(serial, parallel);
+  EXPECT_EQ(serial.events_processed, parallel.events_processed);
+  // The whole shard checkpoints under the serial shard id, in a serial manifest.
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(ckpt.dir, &manifest));
+  EXPECT_FALSE(manifest.sharded);
+  ASSERT_EQ(manifest.entries.size(), 1u);
+  EXPECT_EQ(manifest.entries[0].shard, checkpoint::kSerialShard);
+  for (int64_t day = 1; day < config.days; ++day) {
+    EXPECT_TRUE(fs::exists(dir / checkpoint::CheckpointFileName(
+                                     day, checkpoint::kSerialShard)))
+        << "missing checkpoint for day " << day;
+  }
+  fs::remove_all(dir);
 }
 
 // --- Satellite: cache hits restore the per-region aggregates. ---

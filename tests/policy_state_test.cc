@@ -1,14 +1,15 @@
 // Policy-state blobs of the per-function policies (forecast prewarm, dynamic
-// keep-alive, workflow prewarm): the format is pinned, and corrupt blobs are
-// rejected loudly.
+// keep-alive, workflow prewarm, profile prewarm): the format is pinned, and
+// corrupt blobs are rejected loudly.
 //
 // A checkpoint outlives the binary that wrote it, so the bytes each
 // SavePolicyState produces after a fixed arrival script are pinned by hash: a
 // change of in-memory layout that leaks into the blob fails here, not on a
 // user's resume. The death tests cover the blobs a reader must never accept
 // silently: repeated or descending function ids (which would overwrite an
-// earlier entry), pending fires and times that no run can produce, and
-// forecaster rings whose live samples or cursor are impossible.
+// earlier entry), ids outside the population, pending fires and times that no
+// run can produce, and forecaster rings whose live samples or cursor are
+// impossible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@ using platform::PlatformPolicy;
 using policy::DynamicKeepAlivePolicy;
 using policy::ForecastPrewarmPolicy;
 using policy::InterArrivalForecaster;
+using policy::ProfilePrewarmPolicy;
 using policy::WorkflowPrewarmPolicy;
 using workload::ArrivalEvent;
 using workload::FunctionSpec;
@@ -137,6 +139,24 @@ std::string ScriptBlobs(PlatformPolicy* policy) {
   return mid + end;
 }
 
+// Restores `blob` into a ProfilePrewarmPolicy attached to a platform over the
+// script's population — it checks ids against the population, so it needs
+// one — and returns its re-saved bytes.
+std::string RestoreAndSaveProfile(const std::string& blob) {
+  const PolicyScript script = MakePolicyScript();
+  const workload::Calendar cal;
+  const auto profiles =
+      std::vector<workload::RegionProfile>{workload::DefaultRegionProfiles()[0]};
+  sim::Simulator sim;
+  trace::TraceStore store;
+  ProfilePrewarmPolicy policy;
+  platform::Platform platform(script.pop, profiles, cal, sim, store, {}, &policy);
+  EXPECT_TRUE(policy.RestorePolicyState(blob));
+  std::string out;
+  EXPECT_TRUE(policy.SavePolicyState(&out));
+  return out;
+}
+
 // --- Pinned format: the bytes a checkpoint carries today. --------------------
 
 TEST(PolicyStateFormatTest, ForecastBlobPinned) {
@@ -161,6 +181,14 @@ TEST(PolicyStateFormatTest, WorkflowBlobPinned) {
   EXPECT_GT(policy.prewarms_issued(), 0);
   EXPECT_EQ(blobs.size(), 96u);
   EXPECT_EQ(HashString(blobs), 1647028479131169597u);
+}
+
+TEST(PolicyStateFormatTest, ProfileBlobPinned) {
+  ProfilePrewarmPolicy policy;
+  const std::string blobs = ScriptBlobs(&policy);
+  EXPECT_GT(policy.prewarms_issued(), 0);
+  EXPECT_EQ(blobs.size(), 138864u);
+  EXPECT_EQ(HashString(blobs), 9527772334323168350u);
 }
 
 // --- Corrupt blobs die loudly. ----------------------------------------------
@@ -347,6 +375,49 @@ TEST_F(PolicyStateDeathTest, FidBeyondFunctionIdRangeDies) {
   EXPECT_DEATH(RestoreAndSave<WorkflowPrewarmPolicy>(
                    WorkflowBlob({{uint64_t{1} << 32, kMinute}})),
                "raw <= std::numeric_limits");
+}
+
+// A profile-prewarm blob: the watch list, then one profile per id in
+// `profiled`.
+std::string ProfileBlob(const std::vector<uint64_t>& watched,
+                        const std::vector<uint64_t>& profiled) {
+  ByteWriter w;
+  w.I64(5);  // prewarms_issued
+  w.U64(watched.size());
+  for (const uint64_t fid : watched) {
+    w.U64(fid);
+  }
+  w.U64(profiled.size());
+  for (const uint64_t fid : profiled) {
+    w.U64(fid);
+    w.I64(1);  // days_observed
+    std::vector<float> per_minute(1440, 0.f);
+    per_minute[540] = 3.f;
+    w.Raw(per_minute.data(), per_minute.size() * sizeof(float));
+  }
+  return w.Take();
+}
+
+TEST(PolicyStateRestoreTest, ProfileWellFormedBlobRoundTrips) {
+  // The control for the profile death tests below.
+  const std::string blob = ProfileBlob({0, 4, 11}, {0, 4, 7, 11});
+  EXPECT_EQ(RestoreAndSaveProfile(blob), blob);
+}
+
+TEST_F(PolicyStateDeathTest, ProfileRepeatedOrDescendingProfileFidDies) {
+  EXPECT_DEATH(RestoreAndSaveProfile(ProfileBlob({}, {4, 4})), "raw\\) > prev");
+  EXPECT_DEATH(RestoreAndSaveProfile(ProfileBlob({}, {4, 2})), "raw\\) > prev");
+}
+
+TEST_F(PolicyStateDeathTest, ProfileDuplicateOrDescendingWatchFidDies) {
+  EXPECT_DEATH(RestoreAndSaveProfile(ProfileBlob({3, 3}, {3})), "raw\\) > prev");
+  EXPECT_DEATH(RestoreAndSaveProfile(ProfileBlob({3, 1}, {1, 3})), "raw\\) > prev");
+}
+
+TEST_F(PolicyStateDeathTest, ProfileFidBeyondPopulationDies) {
+  // The script population has 12 functions: ids 0..11.
+  EXPECT_DEATH(RestoreAndSaveProfile(ProfileBlob({12}, {})), "num_functions");
+  EXPECT_DEATH(RestoreAndSaveProfile(ProfileBlob({}, {3, 12})), "num_functions");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using workload::ArrivalEvent;
+using workload::DrainArrivalStream;
 using workload::ReplayOptions;
 using workload::ReplaySource;
 
@@ -73,8 +74,8 @@ TEST_F(ReplayTest, RoundTripBitIdentitySerialAndSharded) {
 
   // Export exactly the arrival stream the run consumed (the source is
   // deterministic in the config, so regenerating it here matches the run).
-  const core::WorkloadSnapshot snapshot = core::SnapshotWorkload(config);
-  const auto& arrivals = snapshot.arrivals;
+  core::WorkloadStream exported = core::OpenWorkloadStream(config);
+  const auto arrivals = DrainArrivalStream(*exported.arrivals);
   ASSERT_TRUE(workload::WriteArrivalsCsv(arrivals, Path("arrivals.csv")));
 
   trace::CsvError error;
@@ -90,9 +91,9 @@ TEST_F(ReplayTest, RoundTripBitIdentitySerialAndSharded) {
   EXPECT_NE(replay_config.Fingerprint(), config.Fingerprint());
 
   // The replayed arrival stream is the original, element for element.
-  const auto replayed_arrivals = replay->Arrivals(
-      snapshot.population, config.ScaledProfiles(), config.MakeCalendar(),
-      config.seed);
+  const auto replayed_arrivals = DrainArrivalStream(*replay->OpenStream(
+      exported.population, config.ScaledProfiles(), config.MakeCalendar(),
+      config.seed));
   ASSERT_EQ(replayed_arrivals.size(), arrivals.size());
   for (size_t i = 0; i < arrivals.size(); ++i) {
     ASSERT_EQ(replayed_arrivals[i].time, arrivals[i].time) << "arrival " << i;
@@ -169,7 +170,8 @@ TEST_F(ReplayTest, ExternalCsvRemapsOntoPopulationRegions) {
   copts.trace_days = 1;
   const workload::Calendar calendar(copts);
 
-  const auto arrivals = source->Arrivals(pop, profiles, calendar, /*seed=*/7);
+  const auto arrivals =
+      DrainArrivalStream(*source->OpenStream(pop, profiles, calendar, /*seed=*/7));
   ASSERT_EQ(arrivals.size(), 3u);
   // Sorted by time, shifted to microseconds.
   EXPECT_EQ(arrivals[0].time, 500000);
@@ -185,7 +187,8 @@ TEST_F(ReplayTest, ExternalCsvRemapsOntoPopulationRegions) {
 
   // Remapping is seed-independent (the same trace hits the same functions
   // across platform-seed sweeps).
-  const auto again = source->Arrivals(pop, profiles, calendar, /*seed=*/8);
+  const auto again =
+      DrainArrivalStream(*source->OpenStream(pop, profiles, calendar, /*seed=*/8));
   ASSERT_EQ(again.size(), 3u);
   EXPECT_EQ(again[0].function, arrivals[0].function);
   EXPECT_EQ(again[1].function, arrivals[1].function);
@@ -206,7 +209,8 @@ TEST_F(ReplayTest, WindowClippingShiftsAndDrops) {
   const auto pop = TinyPopulation({1});
   const auto profiles = TinyProfiles(1);
   const workload::Calendar calendar;
-  const auto arrivals = source->Arrivals(pop, profiles, calendar, 1);
+  const auto arrivals =
+      DrainArrivalStream(*source->OpenStream(pop, profiles, calendar, 1));
   ASSERT_EQ(arrivals.size(), 4u);  // Recorded times 3,4,5,6 s.
   for (size_t i = 0; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i].time, static_cast<SimTime>(i) * kSecond);
@@ -227,19 +231,21 @@ TEST_F(ReplayTest, RateScalingIsDeterministicAndProportional) {
   half.rate_scale = 0.5;
   const auto thinned = ReplaySource::FromArrivalsCsv(Path("rate.csv"), half);
   ASSERT_NE(thinned, nullptr);
-  const auto a = thinned->Arrivals(pop, profiles, calendar, 3);
-  const auto b = thinned->Arrivals(pop, profiles, calendar, 3);
+  const auto a = DrainArrivalStream(*thinned->OpenStream(pop, profiles, calendar, 3));
+  const auto b = DrainArrivalStream(*thinned->OpenStream(pop, profiles, calendar, 3));
   ASSERT_EQ(a.size(), b.size());  // Deterministic in the seed.
   EXPECT_GT(a.size(), 400u);      // ~Binomial(1000, 0.5).
   EXPECT_LT(a.size(), 600u);
-  const auto other_seed = thinned->Arrivals(pop, profiles, calendar, 4);
+  const auto other_seed =
+      DrainArrivalStream(*thinned->OpenStream(pop, profiles, calendar, 4));
   EXPECT_NE(other_seed.size(), 0u);
 
   ReplayOptions triple;
   triple.rate_scale = 3.0;
   const auto tripled = ReplaySource::FromArrivalsCsv(Path("rate.csv"), triple);
   ASSERT_NE(tripled, nullptr);
-  EXPECT_EQ(tripled->Arrivals(pop, profiles, calendar, 3).size(), 3000u);
+  EXPECT_EQ(DrainArrivalStream(*tripled->OpenStream(pop, profiles, calendar, 3)).size(),
+            3000u);
 }
 
 // --- Chunked delivery: OpenStream windows the recorded buffer by day. ---
@@ -269,7 +275,7 @@ TEST_F(ReplayTest, ChunkedStreamPartitionsEagerReplayUnderOptions) {
   const auto source = ReplaySource::FromArrivalsCsv(Path("chunks.csv"), options);
   ASSERT_NE(source, nullptr);
 
-  const auto eager = source->Arrivals(pop, profiles, calendar, 7);
+  const auto eager = DrainArrivalStream(*source->OpenStream(pop, profiles, calendar, 7));
   ASSERT_GT(eager.size(), 3000u);  // rate_scale > 1 engaged.
   ASSERT_LT(eager.back().time, calendar.horizon());
 

@@ -16,6 +16,14 @@
 namespace coldstart::workload {
 namespace {
 
+// The synthetic generator's whole arrival vector, sorted by (time, function).
+std::vector<ArrivalEvent> EagerArrivals(const Population& pop,
+                                        const std::vector<RegionProfile>& profiles,
+                                        const Calendar& cal, uint64_t seed) {
+  SyntheticArrivalStream stream(pop, profiles, cal, seed);
+  return DrainArrivalStream(stream);
+}
+
 TEST(CalendarTest, HolidayWindow) {
   const Calendar cal;
   EXPECT_FALSE(cal.IsHoliday(13));
@@ -243,7 +251,7 @@ TEST(ArrivalsTest, SortedAndWithinHorizon) {
   Calendar::Options opts;
   opts.trace_days = 2;
   const Calendar cal(opts);
-  const auto events = GenerateArrivals(pop, profiles, cal, 3);
+  const auto events = EagerArrivals(pop, profiles, cal, 3);
   ASSERT_FALSE(events.empty());
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].time, events[i].time);
@@ -258,8 +266,8 @@ TEST(ArrivalsTest, DeterministicInSeed) {
   Calendar::Options opts;
   opts.trace_days = 1;
   const Calendar cal(opts);
-  const auto a = GenerateArrivals(pop, profiles, cal, 11);
-  const auto b = GenerateArrivals(pop, profiles, cal, 11);
+  const auto a = EagerArrivals(pop, profiles, cal, 11);
+  const auto b = EagerArrivals(pop, profiles, cal, 11);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].time, b[i].time);
@@ -275,7 +283,7 @@ TEST(ArrivalsStatsTest, SortedWithinHorizonInEveryRegion) {
   Calendar::Options opts;
   opts.trace_days = 3;
   const Calendar cal(opts);
-  const auto events = GenerateArrivals(pop, profiles, cal, 17);
+  const auto events = EagerArrivals(pop, profiles, cal, 17);
   ASSERT_FALSE(events.empty());
   std::vector<int64_t> per_region(profiles.size(), 0);
   for (size_t i = 0; i < events.size(); ++i) {
@@ -322,7 +330,7 @@ TEST(ArrivalsStatsTest, PerRegionRateMatchesDiurnalIntegral) {
     pop.region_begin.push_back(static_cast<uint32_t>(pop.functions.size()));
   }
 
-  const auto events = GenerateArrivals(pop, profiles, cal, 99);
+  const auto events = EagerArrivals(pop, profiles, cal, 99);
   std::vector<double> observed(profiles.size(), 0);
   for (const auto& e : events) {
     observed[pop.functions[e.function].region] += 1;
@@ -350,12 +358,12 @@ TEST(ArrivalsStatsTest, BitIdenticalAcrossRepeatedCalls) {
   Calendar::Options opts;
   opts.trace_days = 2;
   const Calendar cal(opts);
-  const auto a = GenerateArrivals(pop, profiles, cal, 23);
-  const auto b = GenerateArrivals(pop, profiles, cal, 23);
+  const auto a = EagerArrivals(pop, profiles, cal, 23);
+  const auto b = EagerArrivals(pop, profiles, cal, 23);
   // Through the WorkloadSource interface as well: the synthetic source is a
   // transparent wrapper, so all three streams must agree element for element.
   const SyntheticSource source;
-  const auto c = source.Arrivals(pop, profiles, cal, 23);
+  const auto c = DrainArrivalStream(*source.OpenStream(pop, profiles, cal, 23));
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.size(), c.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -365,7 +373,7 @@ TEST(ArrivalsStatsTest, BitIdenticalAcrossRepeatedCalls) {
     ASSERT_EQ(a[i].function, c[i].function) << i;
   }
   // And a different seed actually changes the stream.
-  const auto d = GenerateArrivals(pop, profiles, cal, 24);
+  const auto d = EagerArrivals(pop, profiles, cal, 24);
   EXPECT_TRUE(d.size() != a.size() ||
               !std::equal(a.begin(), a.end(), d.begin(),
                           [](const ArrivalEvent& x, const ArrivalEvent& y) {
@@ -434,7 +442,7 @@ TEST(ArrivalStreamTest, SyntheticChunksPartitionTheEagerVector) {
   opts.trace_days = 3;
   const Calendar cal(opts);
   const SyntheticSource source;
-  const auto eager = source.Arrivals(pop, profiles, cal, 31);
+  const auto eager = DrainArrivalStream(*source.OpenStream(pop, profiles, cal, 31));
 
   auto stream = source.OpenStream(pop, profiles, cal, 31);
   const auto chunks = CollectChunks(*stream);
@@ -540,7 +548,7 @@ TEST(ArrivalStreamTest, MaterializedStreamRoundTrips) {
   Calendar::Options opts;
   opts.trace_days = 2;
   const Calendar cal(opts);
-  const auto eager = GenerateArrivals(pop, profiles, cal, 5);
+  const auto eager = EagerArrivals(pop, profiles, cal, 5);
 
   MaterializedArrivalStream stream(eager, NumDayChunks(cal));
   const auto chunks = CollectChunks(stream);
