@@ -1,14 +1,12 @@
 // Micro-benchmarks of the simulator hot paths (google-benchmark): event queue
-// throughput (timer wheel vs. the seed's priority-queue baseline), mixed-horizon
-// scheduling, streaming arrival injection, pod slab churn, staged pool
-// acquisition, the cold-start pipeline, the end-to-end sharded-vs-serial
-// experiment runner, and the paper-scale month driver (serial vs region-sharded
-// vs sub-region-sharded).
+// throughput, mixed-horizon scheduling, streaming arrival injection, pod slab
+// churn, staged pool acquisition, the cold-start pipeline, the end-to-end
+// sharded-vs-serial experiment runner, and the paper-scale month driver (serial
+// vs region-sharded vs sub-region-sharded).
 #include <benchmark/benchmark.h>
 
 #include <functional>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -25,50 +23,6 @@
 using namespace coldstart;
 
 namespace {
-
-// The seed event core (std::priority_queue of std::function closures), kept here
-// as the measured baseline for the timer-wheel scheduler.
-class HeapBaselineSim {
- public:
-  using Handler = std::function<void()>;
-
-  SimTime now() const { return now_; }
-
-  void ScheduleAt(SimTime t, Handler fn) {
-    queue_.push(Event{t, next_seq_++, std::move(fn)});
-  }
-
-  uint64_t RunToCompletion() {
-    uint64_t processed = 0;
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      Handler fn = std::move(const_cast<Event&>(top).fn);
-      now_ = top.time;
-      queue_.pop();
-      fn();
-      ++processed;
-    }
-    return processed;
-  }
-
- private:
-  struct Event {
-    SimTime time;
-    uint64_t seq;
-    Handler fn;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-};
 
 // Mixed-horizon delay: mimics the platform's scheduling mix. Roughly half the
 // events land within milliseconds (executions), a third within seconds (long
@@ -104,25 +58,9 @@ static void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(65536);
 
-static void BM_EventQueueScheduleRunHeapBaseline(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    HeapBaselineSim sim;
-    int64_t counter = 0;
-    for (int i = 0; i < n; ++i) {
-      sim.ScheduleAt(i * 10, [&counter] { ++counter; });
-    }
-    sim.RunToCompletion();
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueueScheduleRunHeapBaseline)->Arg(1024)->Arg(65536);
-
 // Steady-state scheduling at mixed horizons: self-rescheduling chains each hop
-// MixedHorizonDelay forward until the total event budget is consumed. This
-// exercises L0/L1 cascades and the overflow heap, not just the near wheel. The
-// chain count is the in-flight queue size: 64 models a small scenario, 4096 the
+// MixedHorizonDelay forward until the total event budget is consumed, so the
+// heap holds millisecond and hour-scale timers at once. The chain count is the in-flight queue size: 64 models a small scenario, 4096 the
 // dense queues of month-scale runs.
 static void BM_EventQueueMixedHorizons(benchmark::State& state) {
   const int chains = static_cast<int>(state.range(0));
@@ -145,30 +83,6 @@ static void BM_EventQueueMixedHorizons(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * total);
 }
 BENCHMARK(BM_EventQueueMixedHorizons)->Args({64, 65536})->Args({4096, 65536});
-
-static void BM_EventQueueMixedHorizonsHeapBaseline(benchmark::State& state) {
-  const int chains = static_cast<int>(state.range(0));
-  const int total = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    HeapBaselineSim sim;
-    Rng rng(99);
-    int64_t remaining = total;
-    std::function<void()> hop = [&] {
-      if (--remaining > 0) {
-        sim.ScheduleAt(sim.now() + MixedHorizonDelay(rng), [&hop] { hop(); });
-      }
-    };
-    for (int c = 0; c < chains; ++c) {
-      sim.ScheduleAt(MixedHorizonDelay(rng), [&hop] { hop(); });
-    }
-    sim.RunToCompletion();
-    benchmark::DoNotOptimize(remaining);
-  }
-  state.SetItemsProcessed(state.iterations() * total);
-}
-BENCHMARK(BM_EventQueueMixedHorizonsHeapBaseline)
-    ->Args({64, 65536})
-    ->Args({4096, 65536});
 
 // End-to-end arrival injection: one synchronous function, `n` arrivals across a
 // day, streamed through the platform's arrival cursor. Items = arrivals.

@@ -213,13 +213,14 @@ class CheckpointCommitter {
     COLDSTART_CHECK(
         checkpoint::WriteCheckpointFile(policy_.dir + "/" + file, meta, payload) &&
         "failed to write checkpoint file");
+    std::string superseded;
     {
       std::lock_guard<std::mutex> lock(mu_);
       bool found = false;
       for (checkpoint::ManifestEntry& e : manifest_.entries) {
         if (e.shard == shard) {
           e.day = day;
-          e.file = file;
+          superseded = std::exchange(e.file, file);
           found = true;
           break;
         }
@@ -229,6 +230,12 @@ class CheckpointCommitter {
       }
       COLDSTART_CHECK(checkpoint::WriteManifest(policy_.dir, manifest_) &&
                       "failed to write checkpoint manifest");
+    }
+    // The durable manifest no longer names the shard's previous file, so a
+    // crash from here on resumes from the new one; drop the old one.
+    if (!superseded.empty() && superseded != file) {
+      std::error_code ec;
+      std::filesystem::remove(policy_.dir + "/" + superseded, ec);
     }
     if (policy_.on_checkpoint) {
       policy_.on_checkpoint(day, shard);

@@ -1117,7 +1117,7 @@ void Platform::RestoreCheckpointState(
   }
 
   // --- Rebuild the pending-event queue under the original (time, seq) keys. ---
-  // Push order is free here: the wheel sorts lazily before the first pop.
+  // Push order is free here: the heap orders restored keys as they arrive.
   for (int64_t day = 0; day < num_starters_; ++day) {
     if (day * kDay > now) {
       sim_.RestoreEvent(day * kDay, starter_seq_base_ + static_cast<uint64_t>(day),

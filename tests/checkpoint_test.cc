@@ -16,7 +16,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "checkpoint/checkpoint.h"
 #include "common/atomic_file.h"
@@ -98,6 +103,28 @@ void RunAndKillAtDay(const ScenarioConfig& config, const std::string& dir,
                                     << kill_day;
 }
 
+// The names of the files in `dir`.
+std::set<std::string> FileNames(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+// What a completed checkpoint directory must hold: the manifest plus exactly
+// the files it names (every superseded file was removed).
+std::set<std::string> ManifestAndNamedFiles(const std::string& dir) {
+  checkpoint::Manifest manifest;
+  EXPECT_TRUE(checkpoint::ReadManifest(dir, &manifest));
+  std::set<std::string> names = {
+      fs::path(checkpoint::ManifestPath(dir)).filename().string()};
+  for (const checkpoint::ManifestEntry& e : manifest.entries) {
+    names.insert(e.file);
+  }
+  return names;
+}
+
 // Flips one bit at `offset` in `path`.
 void FlipBit(const std::string& path, int64_t offset) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -123,21 +150,57 @@ TEST_F(CheckpointTest, CheckpointedRunMatchesPlainRun) {
 
   CheckpointPolicy ckpt;
   ckpt.dir = dir_;
+  std::vector<int64_t> committed_days;
+  ckpt.on_checkpoint = [&committed_days](int64_t day, uint32_t shard) {
+    EXPECT_EQ(shard, checkpoint::kSerialShard);
+    committed_days.push_back(day);
+  };
   const ExperimentResult checkpointed = experiment.Run(nullptr, 1, &ckpt);
 
   ASSERT_GT(plain.store.requests().size(), 1000u);
   EXPECT_EQ(trace::Digest(plain.store), trace::Digest(checkpointed.store));
   EXPECT_EQ(checkpointed.interrupted_at_day, -1);
-  // Every interior day boundary committed a checkpoint plus the manifest.
-  for (int64_t day = 1; day < config.days; ++day) {
-    EXPECT_TRUE(fs::exists(fs::path(dir_) /
-                           checkpoint::CheckpointFileName(day, checkpoint::kSerialShard)))
-        << "missing checkpoint for day " << day;
-  }
+  // Every interior day boundary committed exactly one checkpoint.
+  EXPECT_EQ(committed_days, (std::vector<int64_t>{1, 2}));
   checkpoint::Manifest manifest;
   ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
   EXPECT_FALSE(manifest.sharded);
   EXPECT_EQ(manifest.fingerprint, config.Fingerprint());
+  ASSERT_EQ(manifest.entries.size(), 1u);
+  EXPECT_EQ(manifest.entries[0].day, config.days - 1);
+  // Each commit removed the file it superseded.
+  EXPECT_EQ(FileNames(dir_), ManifestAndNamedFiles(dir_));
+}
+
+TEST_F(CheckpointTest, ShardedRunKeepsOnlyTheManifestNamedFiles) {
+  const ScenarioConfig config = TinyScenario();
+  const Experiment experiment(config);
+  ASSERT_TRUE(experiment.CanShard(nullptr));
+  std::mutex mu;
+  std::map<std::pair<int64_t, uint32_t>, int> commits;
+  CheckpointPolicy ckpt;
+  ckpt.dir = dir_;
+  ckpt.on_checkpoint = [&mu, &commits](int64_t day, uint32_t shard) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++commits[{day, shard}];
+  };
+  const ExperimentResult checkpointed = experiment.Run(nullptr, 4, &ckpt);
+  EXPECT_EQ(checkpointed.interrupted_at_day, -1);
+
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+  EXPECT_TRUE(manifest.sharded);
+  // One commit per interior day per shard, and only the last survives on disk.
+  ASSERT_EQ(manifest.entries.size(),
+            manifest.num_regions * manifest.shards_per_region);
+  EXPECT_EQ(commits.size(), manifest.entries.size() * (config.days - 1));
+  for (const checkpoint::ManifestEntry& e : manifest.entries) {
+    EXPECT_EQ(e.day, config.days - 1);
+    for (int64_t day = 1; day < config.days; ++day) {
+      EXPECT_EQ((commits[{day, e.shard}]), 1) << "shard " << e.shard << " day " << day;
+    }
+  }
+  EXPECT_EQ(FileNames(dir_), ManifestAndNamedFiles(dir_));
 }
 
 // --- Tentpole acceptance: kill at a day boundary, resume, bit-identical. ---

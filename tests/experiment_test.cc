@@ -5,7 +5,9 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "checkpoint/checkpoint.h"
 #include "common/byte_serde.h"
@@ -375,6 +377,10 @@ TEST(OneShardPlanTest, UnclonablePolicyRunsAsTheWholeShard) {
   fs::remove_all(dir);
   core::CheckpointPolicy ckpt;
   ckpt.dir = dir.string();
+  std::vector<std::pair<int64_t, uint32_t>> commits;
+  ckpt.on_checkpoint = [&commits](int64_t day, uint32_t shard) {
+    commits.push_back({day, shard});
+  };
   UnclonableKeepAlivePolicy four_threads;
   const ExperimentResult parallel = experiment.Run(&four_threads, 4, &ckpt);
 
@@ -387,11 +393,18 @@ TEST(OneShardPlanTest, UnclonablePolicyRunsAsTheWholeShard) {
   EXPECT_FALSE(manifest.sharded);
   ASSERT_EQ(manifest.entries.size(), 1u);
   EXPECT_EQ(manifest.entries[0].shard, checkpoint::kSerialShard);
-  for (int64_t day = 1; day < config.days; ++day) {
-    EXPECT_TRUE(fs::exists(dir / checkpoint::CheckpointFileName(
-                                     day, checkpoint::kSerialShard)))
-        << "missing checkpoint for day " << day;
+  // One commit per interior day, and only the last one's file is left.
+  const std::vector<std::pair<int64_t, uint32_t>> expected_commits = {
+      {1, checkpoint::kSerialShard}, {2, checkpoint::kSerialShard}};
+  EXPECT_EQ(commits, expected_commits);
+  std::set<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.insert(entry.path().filename().string());
   }
+  const std::set<std::string> expected_files = {
+      fs::path(checkpoint::ManifestPath(ckpt.dir)).filename().string(),
+      manifest.entries[0].file};
+  EXPECT_EQ(files, expected_files);
   fs::remove_all(dir);
 }
 

@@ -1,6 +1,6 @@
-// Tests for the discrete-event simulator core: time/FIFO ordering under the
-// timer wheel (near buckets, cascaded frames, overflow heap), clock semantics,
-// and the merged EventSource stream.
+// Tests for the discrete-event simulator core: time/FIFO ordering of the key
+// heap (near and far timestamps, reentrant schedules, restored queues), clock
+// semantics, and the merged EventSource stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,7 +122,7 @@ TEST(SchedulePeriodicTest, EmptyRangeNoFiring) {
   EXPECT_EQ(fired, 0);
 }
 
-// --- Timer-wheel-specific ordering. ---
+// --- (time, seq) ordering across time gaps, reentrancy and restore. ---
 
 TEST(SimulatorTest, StoppedRunLeavesClockAtLastEvent) {
   Simulator sim;
@@ -183,15 +183,15 @@ TEST(SimulatorTest, ScheduleIntoCursorGapPreservesOrder) {
 }
 
 TEST(SimulatorTest, RandomScheduleMatchesStableSortOrder) {
-  // The wheel must reproduce exactly the (time, insertion seq) total order of a
-  // stable sort, across bucket/frame/overflow migrations and handler reentrancy.
+  // The queue must reproduce exactly the (time, insertion seq) total order of a
+  // stable sort, across near and far timestamps.
   Simulator sim;
   Rng rng(2024);
   std::vector<std::pair<SimTime, int>> scheduled;
   std::vector<int> fired;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
-    // Spread over ~6 minutes so all three structures participate.
+    // Spread over ~6 minutes: sub-second neighbours and minute-scale gaps.
     const SimTime t = static_cast<SimTime>(rng.NextBounded(6 * kMinute));
     scheduled.push_back({t, i});
     sim.ScheduleAt(t, [&fired, i] { fired.push_back(i); });
@@ -202,6 +202,115 @@ TEST(SimulatorTest, RandomScheduleMatchesStableSortOrder) {
   ASSERT_EQ(fired.size(), scheduled.size());
   for (size_t i = 0; i < scheduled.size(); ++i) {
     EXPECT_EQ(fired[i], scheduled[i].second) << "position " << i;
+  }
+}
+
+// Records every key queued on `sim` so a run can be checked against the stable
+// sort of those keys. Handlers draw on a shared budget to schedule further
+// events at now(), just after it, or minutes later while they run.
+class KeyOrderReference {
+ public:
+  explicit KeyOrderReference(int reentrant_budget) : budget_(reentrant_budget) {}
+
+  Simulator& sim() { return sim_; }
+  Rng& rng() { return rng_; }
+
+  // Queues a new event at `t` through ScheduleAt.
+  void Schedule(SimTime t) {
+    const int id = Record(t, sim_.next_seq());
+    sim_.ScheduleAt(t, [this, id] { Fire(id); });
+  }
+  // Re-queues an event under an explicit checkpointed key.
+  void Restore(SimTime t, uint64_t seq) {
+    const int id = Record(t, seq);
+    sim_.RestoreEvent(t, seq, [this, id] { Fire(id); });
+  }
+
+  // Every event fired, in (time, seq) order: the stable sort by time of the
+  // keys listed in seq order.
+  void ExpectStableSortOrder() {
+    std::sort(keys_.begin(), keys_.end(), [](const Entry& a, const Entry& b) {
+      return a.seq < b.seq;
+    });
+    std::stable_sort(keys_.begin(), keys_.end(), [](const Entry& a, const Entry& b) {
+      return a.time < b.time;
+    });
+    ASSERT_EQ(fired_.size(), keys_.size());
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      EXPECT_EQ(fired_[i], keys_[i].id) << "position " << i;
+    }
+  }
+
+ private:
+  struct Entry {
+    SimTime time;
+    uint64_t seq;
+    int id;
+  };
+
+  int Record(SimTime t, uint64_t seq) {
+    const int id = static_cast<int>(keys_.size());
+    keys_.push_back({t, seq, id});
+    return id;
+  }
+
+  void Fire(int id) {
+    fired_.push_back(id);
+    while (budget_ > 0 && rng_.NextBounded(3) != 0) {
+      --budget_;
+      switch (rng_.NextBounded(3)) {
+        case 0:
+          Schedule(sim_.now());
+          break;
+        case 1:
+          Schedule(sim_.now() + static_cast<SimTime>(rng_.NextBounded(kMillisecond)));
+          break;
+        default:
+          Schedule(sim_.now() + static_cast<SimTime>(rng_.NextBounded(10)) * kMinute);
+          break;
+      }
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_{77};
+  std::vector<Entry> keys_;
+  std::vector<int> fired_;
+  int budget_;
+};
+
+TEST(SimulatorTest, ReentrantAndRestoredSchedulesMatchStableSortOrder) {
+  // Coarse 100 ms timestamps make same-time ties common.
+  {
+    // Handlers schedule at and after now() while they run.
+    KeyOrderReference ref(/*reentrant_budget=*/4000);
+    for (int i = 0; i < 2000; ++i) {
+      ref.Schedule(static_cast<SimTime>(ref.rng().NextBounded(3600)) * 100 * kMillisecond);
+    }
+    ref.sim().RunToCompletion();
+    ref.ExpectStableSortOrder();
+  }
+  {
+    // A checkpointed queue restored in shuffled seq order, then run with the
+    // same reentrant schedules.
+    KeyOrderReference ref(/*reentrant_budget=*/4000);
+    const uint64_t restored = 3000;
+    ref.sim().RestoreClock(kHour, restored, /*events_processed=*/0);
+    std::vector<uint64_t> seqs(restored);
+    for (uint64_t i = 0; i < restored; ++i) {
+      seqs[i] = i;
+    }
+    for (uint64_t i = restored - 1; i > 0; --i) {
+      std::swap(seqs[i], seqs[ref.rng().NextBounded(i + 1)]);
+    }
+    for (const uint64_t seq : seqs) {
+      ref.Restore(kHour + static_cast<SimTime>(ref.rng().NextBounded(3600)) *
+                              100 * kMillisecond,
+                  seq);
+    }
+    ASSERT_EQ(ref.sim().pending_events(), restored);
+    ref.sim().RunToCompletion();
+    ref.ExpectStableSortOrder();
   }
 }
 
