@@ -5,9 +5,8 @@
 #include <cstdlib>
 #include <utility>
 
-#include "common/atomic_file.h"
 #include "common/byte_serde.h"
-#include "common/crc32.h"
+#include "common/framed_file.h"
 
 namespace coldstart::checkpoint {
 
@@ -28,59 +27,16 @@ constexpr uint64_t kManifestMagic = 0x33765F74666E6D63ull;
   std::abort();
 }
 
-// Shared framing: magic, payload size, payload CRC32, payload bytes. The CRC
-// covers only the payload; the frame fields are validated structurally.
-bool WriteFramed(const std::string& path, uint64_t magic,
-                 const std::string& payload) {
-  ByteWriter header;
-  header.U64(magic);
-  header.U64(payload.size());
-  header.U32(Crc32(payload.data(), payload.size()));
-  AtomicFile file(path);
-  if (!file.ok()) {
-    return false;
-  }
-  file.Write(header.data().data(), header.data().size());
-  file.Write(payload.data(), payload.size());
-  return file.Commit();
-}
-
 // Returns false when `path` does not open (treated as "no checkpoint");
-// aborts on any validation failure.
-bool ReadFramed(const std::string& path, uint64_t magic, std::string* payload) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
+// aborts when the frame does not validate.
+bool ReadFrameOrDie(const std::string& path, uint64_t magic,
+                    std::string* payload) {
+  FrameRead frame = ReadFramedFile(path, magic);
+  if (frame.status == FrameStatus::kCorrupt) {
+    Corrupt(path, frame.reason);
   }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    Corrupt(path, "read error");
-  }
-  constexpr size_t kFrameHeader = 8 + 8 + 4;
-  if (bytes.size() < kFrameHeader) {
-    Corrupt(path, "truncated header");
-  }
-  ByteReader r(bytes);
-  if (r.U64() != magic) {
-    Corrupt(path, "bad magic or version");
-  }
-  const uint64_t size = r.U64();
-  const uint32_t crc = r.U32();
-  if (size != bytes.size() - kFrameHeader) {
-    Corrupt(path, "truncated payload");
-  }
-  payload->assign(bytes, kFrameHeader, size);
-  if (Crc32(payload->data(), payload->size()) != crc) {
-    Corrupt(path, "payload CRC mismatch");
-  }
-  return true;
+  *payload = std::move(frame.payload);
+  return frame.status == FrameStatus::kOk;
 }
 
 }  // namespace
@@ -93,14 +49,16 @@ bool WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
   w.U32(meta.shard);
   w.I64(meta.day);
   w.U32(meta.num_regions);
-  w.Str(payload);
-  return WriteFramed(path, kCheckpointMagic, w.Take());
+  // The payload's length prefix; the payload itself is the frame's second
+  // part, so it is never copied into the meta buffer.
+  w.U64(payload.size());
+  return WriteFramedFile(path, kCheckpointMagic, {w.data(), payload});
 }
 
 bool ReadCheckpointFile(const std::string& path, CheckpointMeta* meta,
                         std::string* payload) {
   std::string framed;
-  if (!ReadFramed(path, kCheckpointMagic, &framed)) {
+  if (!ReadFrameOrDie(path, kCheckpointMagic, &framed)) {
     return false;
   }
   // The frame CRC already validated every byte; ByteReader underflow here
@@ -111,10 +69,12 @@ bool ReadCheckpointFile(const std::string& path, CheckpointMeta* meta,
   meta->shard = r.U32();
   meta->day = r.I64();
   meta->num_regions = r.U32();
-  *payload = r.Str();
-  if (!r.AtEnd()) {
-    Corrupt(path, "trailing bytes");
+  if (r.U64() != r.Remaining()) {
+    Corrupt(path, "payload length mismatch");
   }
+  // Drop the meta prefix in place rather than copying the payload out.
+  framed.erase(0, framed.size() - r.Remaining());
+  *payload = std::move(framed);
   return true;
 }
 
@@ -131,13 +91,13 @@ bool WriteManifest(const std::string& dir, const Manifest& manifest) {
     w.I64(e.day);
     w.Str(e.file);
   }
-  return WriteFramed(ManifestPath(dir), kManifestMagic, w.Take());
+  return WriteFramedFile(ManifestPath(dir), kManifestMagic, {w.data()});
 }
 
 bool ReadManifest(const std::string& dir, Manifest* manifest) {
   const std::string path = ManifestPath(dir);
   std::string payload;
-  if (!ReadFramed(path, kManifestMagic, &payload)) {
+  if (!ReadFrameOrDie(path, kManifestMagic, &payload)) {
     return false;
   }
   ByteReader r(payload);

@@ -1,8 +1,8 @@
 // Crash-safe file replacement: write-to-temp + fsync + rename.
 //
-// Every durable artifact this library writes — trace cache files, checkpoint
-// shards, checkpoint manifests — must never be observable in a half-written
-// state: a crash mid-write would otherwise leave a truncated file at the final
+// Every durable artifact this library writes — binary state files through the
+// one file frame (common/framed_file.h), plus text outputs such as CSVs — must
+// never be observable in a half-written state: a crash mid-write would otherwise leave a truncated file at the final
 // path that a later run might try to load. AtomicFile gives the standard POSIX
 // discipline: bytes go to a temporary file in the *same directory* (rename(2)
 // is only atomic within a filesystem), the temp is fsync'd, then renamed over

@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -55,12 +56,18 @@ void CollectRegionStats(const platform::Platform& platform, trace::RegionId regi
   result.cold_start_latency_sum_us[region] += platform.cold_start_latency_sum_us(region);
 }
 
+// The five per-region counter series, in trace-cache blob order.
+template <typename Result>
+auto CounterSeries(Result& result) {
+  return std::array{&result.visible_cold_starts, &result.prewarm_spawns,
+                    &result.delayed_allocations, &result.scratch_allocations,
+                    &result.cold_start_latency_sum_us};
+}
+
 void ResizeStats(ExperimentResult& result, size_t regions) {
-  result.visible_cold_starts.assign(regions, 0);
-  result.prewarm_spawns.assign(regions, 0);
-  result.delayed_allocations.assign(regions, 0);
-  result.scratch_allocations.assign(regions, 0);
-  result.cold_start_latency_sum_us.assign(regions, 0);
+  for (std::vector<int64_t>* series : CounterSeries(result)) {
+    series->assign(regions, 0);
+  }
   result.cost_ledger = platform::ResourceCostLedger(regions);
 }
 
@@ -382,6 +389,36 @@ ShardPlan PlanShards(const ScenarioConfig& config, platform::PlatformPolicy* pol
   return plan;
 }
 
+// The trace cache's blob: the per-region platform counters, the event count
+// and the cost ledger, i.e. everything a cache hit restores besides the store.
+void SaveCachedCounters(ByteWriter& w, const ExperimentResult& result) {
+  w.U64(result.visible_cold_starts.size());
+  for (const std::vector<int64_t>* series : CounterSeries(result)) {
+    for (const int64_t v : *series) {
+      w.I64(v);
+    }
+  }
+  w.U64(result.events_processed);
+  result.cost_ledger.SaveState(w);
+}
+
+// Returns false when the blob is empty, covers another region count, or has
+// bytes left over.
+bool RestoreCachedCounters(ByteReader& r, size_t regions, ExperimentResult* result) {
+  if (r.Remaining() < sizeof(uint64_t) || r.U64() != regions) {
+    return false;
+  }
+  ResizeStats(*result, regions);
+  for (std::vector<int64_t>* series : CounterSeries(*result)) {
+    for (int64_t& v : *series) {
+      v = r.I64();
+    }
+  }
+  result->events_processed = r.U64();
+  result->cost_ledger.RestoreState(r);
+  return r.AtEnd();
+}
+
 }  // namespace
 
 bool Experiment::CanShard(platform::PlatformPolicy* policy) const {
@@ -618,55 +655,35 @@ ExperimentResult Experiment::RunCached(const std::string& cache_dir,
   COLDSTART_CHECK(config_.trace_mode == TraceMode::kFull &&
                   "RunCached requires TraceMode::kFull");
   namespace fs = std::filesystem;
-  // v6 filename scheme, bumped with the fingerprint salt: v6 folds the
-  // per-profile cold-start model selection into the fingerprint and persists
-  // the resource-cost ledger, so files written under the older schemes are
-  // never picked up.
+  // v7 filename scheme, bumped with the fingerprint salt or the file format:
+  // v6 folded the per-profile cold-start model selection into the fingerprint
+  // and persisted the resource-cost ledger; v7 moved the file into the common
+  // frame. Files written under older schemes are never picked up.
   char name[64];
-  std::snprintf(name, sizeof(name), "scenario_v6_%016" PRIx64 ".bin",
+  std::snprintf(name, sizeof(name), "scenario_v7_%016" PRIx64 ".bin",
                 config_.Fingerprint());
   const std::string path = (fs::path(cache_dir) / name).string();
 
-  std::error_code ec;
-  if (fs::exists(path, ec)) {
-    ExperimentResult result;
-    trace::TraceAggregates aggregates;
-    if (trace::ReadBinaryTrace(path, result.store, &aggregates) &&
-        aggregates.visible_cold_starts.size() == config_.profiles.size()) {
-      result.store.Seal();
-      result.from_cache = true;
-      result.visible_cold_starts = std::move(aggregates.visible_cold_starts);
-      result.prewarm_spawns = std::move(aggregates.prewarm_spawns);
-      result.delayed_allocations = std::move(aggregates.delayed_allocations);
-      result.scratch_allocations = std::move(aggregates.scratch_allocations);
-      result.cold_start_latency_sum_us =
-          std::move(aggregates.cold_start_latency_sum_us);
-      result.events_processed = aggregates.events_processed;
-      if (!aggregates.cost_ledger.empty()) {
-        ByteReader cost(aggregates.cost_ledger);
-        result.cost_ledger.RestoreState(cost);
-        COLDSTART_CHECK(cost.AtEnd());
+  {
+    ExperimentResult cached;
+    std::string counters;
+    if (trace::ReadBinaryTrace(path, cached.store, &counters)) {
+      ByteReader r(counters);
+      if (RestoreCachedCounters(r, config_.profiles.size(), &cached)) {
+        cached.store.Seal();
+        cached.from_cache = true;
+        return cached;
       }
-      return result;
     }
-    // Corrupt or stale-format cache: fall through to a fresh run and rewrite.
+    // Missing, corrupt or stale-format cache: run fresh and rewrite it.
   }
 
   ExperimentResult result = Run(nullptr);
+  std::error_code ec;
   fs::create_directories(cache_dir, ec);
-  trace::TraceAggregates aggregates;
-  aggregates.visible_cold_starts = result.visible_cold_starts;
-  aggregates.prewarm_spawns = result.prewarm_spawns;
-  aggregates.delayed_allocations = result.delayed_allocations;
-  aggregates.scratch_allocations = result.scratch_allocations;
-  aggregates.cold_start_latency_sum_us = result.cold_start_latency_sum_us;
-  aggregates.events_processed = result.events_processed;
-  {
-    ByteWriter cost;
-    result.cost_ledger.SaveState(cost);
-    aggregates.cost_ledger = cost.Take();
-  }
-  if (!trace::WriteBinaryTrace(result.store, path, &aggregates)) {
+  ByteWriter counters;
+  SaveCachedCounters(counters, result);
+  if (!trace::WriteBinaryTrace(result.store, path, counters.data())) {
     std::fprintf(stderr, "warning: failed to write trace cache at %s\n", path.c_str());
   }
   return result;

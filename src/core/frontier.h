@@ -10,8 +10,9 @@
 // bit-identical at any thread count (serial == region-sharded == sub-region
 // K=4, same contract as everything else in core/).
 //
-// Point cache: with a cache_dir, each evaluated point persists keyed by
-// (scenario fingerprint, candidate name, policy fingerprint). A forecaster
+// Point cache: with a cache_dir, each evaluated point persists, in the common
+// file frame (common/framed_file.h), keyed by (scenario fingerprint, candidate
+// name, policy fingerprint). A forecaster
 // (or any policy) config change changes the key and forces re-evaluation —
 // the cache can never serve a stale configuration (tests/frontier_test.cc).
 #ifndef COLDSTART_CORE_FRONTIER_H_

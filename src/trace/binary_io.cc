@@ -2,65 +2,26 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <memory>
-#include <system_error>
+#include <vector>
 
-#include "common/atomic_file.h"
-#include "common/crc32.h"
+#include "common/byte_serde.h"
+#include "common/framed_file.h"
 
 namespace coldstart::trace {
 
 namespace {
 
-// v4 added the per-region aggregate block and whole-file size validation.
-// v5 adds a CRC32 over every post-header byte (in reserved0) and atomic
-// (tmp + fsync + rename) writes, so a torn or bit-flipped cache file is
-// rejected loudly instead of feeding corrupt records into an analysis.
-// v6 appends the resource-cost ledger as an opaque length-prefixed blob
-// (cost_blob_size in the header) so cache hits restore cost data too.
-constexpr uint64_t kMagic = 0x434C5342'00000006ull;  // "CSLB" + format version.
+// "CSLB" + format version. v7 moved the file into the common frame (magic,
+// size and CRC32 ahead of the payload) and made the per-region counters part
+// of the caller's blob.
+constexpr uint64_t kMagic = 0x434C5342'00000007ull;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) {
-      std::fclose(f);
-    }
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-struct Header {
-  uint64_t magic = kMagic;
-  uint64_t horizon = 0;
-  uint64_t request_count = 0;
-  uint64_t cold_start_count = 0;
-  uint64_t function_count = 0;
-  uint64_t pod_count = 0;
-  // Regions covered by the aggregate block; 0 = no block present.
-  uint64_t aggregate_region_count = 0;
-  // Bytes of the opaque cost-ledger blob trailing the aggregate block (v6);
-  // 0 = no blob.
-  uint64_t cost_blob_size = 0;
-  uint32_t request_size = sizeof(RequestRecord);
-  uint32_t cold_start_size = sizeof(ColdStartRecord);
-  uint32_t function_size = sizeof(FunctionRecord);
-  uint32_t pod_size = sizeof(PodLifetimeRecord);
-  // CRC32 over every byte after the header, in file order (v5). The second
-  // word stays reserved and keeps sizeof(Header) == 88 with no trailing
-  // padding, so fwrite of the whole struct never emits indeterminate bytes.
-  uint32_t payload_crc = 0;
-  uint32_t reserved1 = 0;
-};
-static_assert(sizeof(Header) == 8 * sizeof(uint64_t) + 6 * sizeof(uint32_t),
-              "Header must be padding-free: it is written raw to disk");
-
-// The aggregate block is kNumAggregateSeries int64 arrays of aggregate_region_count
-// entries each, followed by the uint64 event count.
-constexpr uint64_t kNumAggregateSeries = 5;
+// Payload header: horizon, the four table counts, the four record sizes and
+// the blob size. The record arrays and then the blob follow it.
+constexpr uint64_t kHeaderBytes = 6 * sizeof(uint64_t) + 4 * sizeof(uint32_t);
 
 // total += count * size, rejecting any intermediate uint64 overflow (a corrupt
-// header must fail the size check, not wrap around it).
+// count must fail the size check, not wrap around it).
 bool AccumulateArrayBytes(uint64_t* total, uint64_t count, uint64_t size) {
   if (count != 0 && size > UINT64_MAX / count) {
     return false;
@@ -73,222 +34,98 @@ bool AccumulateArrayBytes(uint64_t* total, uint64_t count, uint64_t size) {
   return true;
 }
 
-// Exact on-disk size implied by a header; used to reject truncated or corrupt files
-// before any table count is turned into an allocation.
-bool ExpectedFileSize(const Header& h, uint64_t* size) {
-  uint64_t total = sizeof(Header);
-  if (!AccumulateArrayBytes(&total, h.request_count, sizeof(RequestRecord)) ||
-      !AccumulateArrayBytes(&total, h.cold_start_count, sizeof(ColdStartRecord)) ||
-      !AccumulateArrayBytes(&total, h.function_count, sizeof(FunctionRecord)) ||
-      !AccumulateArrayBytes(&total, h.pod_count, sizeof(PodLifetimeRecord))) {
-    return false;
-  }
-  if (h.aggregate_region_count > 0) {
-    if (!AccumulateArrayBytes(&total, h.aggregate_region_count,
-                              kNumAggregateSeries * sizeof(int64_t)) ||
-        !AccumulateArrayBytes(&total, 1, sizeof(uint64_t))) {
-      return false;
-    }
-  }
-  if (!AccumulateArrayBytes(&total, h.cost_blob_size, 1)) {
-    return false;
-  }
-  *size = total;
-  return true;
+template <typename T>
+std::string_view Bytes(const std::vector<T>& v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T)};
 }
 
+// Copies `count` records starting at `p` and advances `p` past them.
 template <typename T>
-bool WriteArray(AtomicFile& f, const std::vector<T>& v) {
-  if (v.empty()) {
-    return true;
+std::vector<T> TakeArray(const char** p, uint64_t count) {
+  std::vector<T> v(count);
+  if (count > 0) {
+    std::memcpy(v.data(), *p, count * sizeof(T));
+    *p += count * sizeof(T);
   }
-  return f.Write(v.data(), v.size() * sizeof(T));
+  return v;
 }
 
-// Extends `crc` over the bytes WriteArray would emit.
-template <typename T>
-uint32_t CrcArray(const std::vector<T>& v, uint32_t crc) {
-  return v.empty() ? crc : Crc32(v.data(), v.size() * sizeof(T), crc);
-}
-
-template <typename T>
-bool ReadArray(std::FILE* f, uint64_t count, std::vector<T>& v) {
-  v.resize(count);
-  if (count == 0) {
-    return true;
-  }
-  return std::fread(v.data(), sizeof(T), count, f) == count;
+bool Reject(const std::string& path, const char* reason) {
+  std::fprintf(stderr, "binary trace %s: %s, ignoring cached trace\n", path.c_str(),
+               reason);
+  return false;
 }
 
 }  // namespace
 
 bool WriteBinaryTrace(const TraceStore& store, const std::string& path,
-                      const TraceAggregates* aggregates) {
-  Header h;
-  h.horizon = static_cast<uint64_t>(store.horizon());
-  h.request_count = store.requests().size();
-  h.cold_start_count = store.cold_starts().size();
-  h.function_count = store.functions().size();
-  h.pod_count = store.pods().size();
-  h.aggregate_region_count =
-      aggregates != nullptr ? aggregates->visible_cold_starts.size() : 0;
-  h.cost_blob_size = aggregates != nullptr ? aggregates->cost_ledger.size() : 0;
-  if (h.aggregate_region_count > 0) {
-    const size_t n = aggregates->visible_cold_starts.size();
-    if (aggregates->prewarm_spawns.size() != n ||
-        aggregates->delayed_allocations.size() != n ||
-        aggregates->scratch_allocations.size() != n ||
-        aggregates->cold_start_latency_sum_us.size() != n) {
-      return false;
-    }
-  }
-  // Every payload span is in memory, so the CRC chains over them before a
-  // single byte hits disk — same order the spans are written below.
-  uint32_t crc = CrcArray(store.requests(), 0);
-  crc = CrcArray(store.cold_starts(), crc);
-  crc = CrcArray(store.functions(), crc);
-  crc = CrcArray(store.pods(), crc);
-  if (h.aggregate_region_count > 0) {
-    crc = CrcArray(aggregates->visible_cold_starts, crc);
-    crc = CrcArray(aggregates->prewarm_spawns, crc);
-    crc = CrcArray(aggregates->delayed_allocations, crc);
-    crc = CrcArray(aggregates->scratch_allocations, crc);
-    crc = CrcArray(aggregates->cold_start_latency_sum_us, crc);
-    crc = Crc32(&aggregates->events_processed, sizeof(uint64_t), crc);
-  }
-  if (h.cost_blob_size > 0) {
-    crc = Crc32(aggregates->cost_ledger.data(), aggregates->cost_ledger.size(), crc);
-  }
-  h.payload_crc = crc;
-
-  // Atomic replacement: a crash mid-write leaves the previous cache file (or
-  // nothing), never a truncated one at the final path.
-  AtomicFile f(path);
-  if (!f.ok() || !f.Write(&h, sizeof(h))) {
-    return false;
-  }
-  if (!WriteArray(f, store.requests()) || !WriteArray(f, store.cold_starts()) ||
-      !WriteArray(f, store.functions()) || !WriteArray(f, store.pods())) {
-    return false;
-  }
-  if (h.aggregate_region_count > 0) {
-    if (!WriteArray(f, aggregates->visible_cold_starts) ||
-        !WriteArray(f, aggregates->prewarm_spawns) ||
-        !WriteArray(f, aggregates->delayed_allocations) ||
-        !WriteArray(f, aggregates->scratch_allocations) ||
-        !WriteArray(f, aggregates->cold_start_latency_sum_us) ||
-        !f.Write(&aggregates->events_processed, sizeof(uint64_t))) {
-      return false;
-    }
-  }
-  if (h.cost_blob_size > 0 &&
-      !f.Write(aggregates->cost_ledger.data(), aggregates->cost_ledger.size())) {
-    return false;
-  }
-  return f.Commit();
+                      std::string_view blob) {
+  ByteWriter w;
+  w.I64(store.horizon());
+  w.U64(store.requests().size());
+  w.U64(store.cold_starts().size());
+  w.U64(store.functions().size());
+  w.U64(store.pods().size());
+  w.U32(sizeof(RequestRecord));
+  w.U32(sizeof(ColdStartRecord));
+  w.U32(sizeof(FunctionRecord));
+  w.U32(sizeof(PodLifetimeRecord));
+  w.U64(blob.size());
+  return WriteFramedFile(path, kMagic,
+                         {w.data(), Bytes(store.requests()), Bytes(store.cold_starts()),
+                          Bytes(store.functions()), Bytes(store.pods()), blob});
 }
 
-bool ReadBinaryTrace(const std::string& path, TraceStore& store,
-                     TraceAggregates* aggregates) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
+bool ReadBinaryTrace(const std::string& path, TraceStore& store, std::string* blob) {
+  const FrameRead frame = ReadFramedFile(path, kMagic);
+  if (frame.status == FrameStatus::kMissing) {
     return false;
   }
-  Header h;
-  if (std::fread(&h, sizeof(h), 1, f.get()) != 1 || h.magic != kMagic ||
-      h.request_size != sizeof(RequestRecord) || h.cold_start_size != sizeof(ColdStartRecord) ||
-      h.function_size != sizeof(FunctionRecord) || h.pod_size != sizeof(PodLifetimeRecord)) {
-    return false;
+  if (frame.status == FrameStatus::kCorrupt) {
+    return Reject(path, frame.reason);
   }
-  // Validate the header-supplied counts against the actual file size before sizing
-  // a single allocation from them: a corrupt count would otherwise demand a
-  // multi-gigabyte resize, and a truncated file would fail only mid-read.
-  uint64_t expected = 0;
-  if (!ExpectedFileSize(h, &expected)) {
-    return false;
+  if (frame.payload.size() < kHeaderBytes) {
+    return Reject(path, "truncated trace header");
   }
-  // std::filesystem::file_size rather than ftell: long is 32-bit on some ABIs and
-  // a full-scale request table easily exceeds 2 GiB.
-  std::error_code ec;
-  const uint64_t actual = std::filesystem::file_size(path, ec);
-  if (ec || actual != expected) {
-    return false;  // Truncated, or trailing bytes the header does not account for.
+  ByteReader r(frame.payload);
+  const SimTime horizon = r.I64();
+  const uint64_t request_count = r.U64();
+  const uint64_t cold_start_count = r.U64();
+  const uint64_t function_count = r.U64();
+  const uint64_t pod_count = r.U64();
+  const uint32_t request_size = r.U32();
+  const uint32_t cold_start_size = r.U32();
+  const uint32_t function_size = r.U32();
+  const uint32_t pod_size = r.U32();
+  const uint64_t blob_size = r.U64();
+  if (request_size != sizeof(RequestRecord) ||
+      cold_start_size != sizeof(ColdStartRecord) ||
+      function_size != sizeof(FunctionRecord) || pod_size != sizeof(PodLifetimeRecord)) {
+    return Reject(path, "record layout of another build");
   }
-  std::vector<RequestRecord> requests;
-  std::vector<ColdStartRecord> cold_starts;
-  std::vector<FunctionRecord> functions;
-  std::vector<PodLifetimeRecord> pods;
-  if (!ReadArray(f.get(), h.request_count, requests) ||
-      !ReadArray(f.get(), h.cold_start_count, cold_starts) ||
-      !ReadArray(f.get(), h.function_count, functions) ||
-      !ReadArray(f.get(), h.pod_count, pods)) {
-    return false;
+  // The counts must add up to exactly the payload size before any table is
+  // sized from them: a bad count would otherwise demand a multi-gigabyte
+  // allocation, or wrap around the check.
+  uint64_t expected = kHeaderBytes;
+  if (!AccumulateArrayBytes(&expected, request_count, sizeof(RequestRecord)) ||
+      !AccumulateArrayBytes(&expected, cold_start_count, sizeof(ColdStartRecord)) ||
+      !AccumulateArrayBytes(&expected, function_count, sizeof(FunctionRecord)) ||
+      !AccumulateArrayBytes(&expected, pod_count, sizeof(PodLifetimeRecord)) ||
+      !AccumulateArrayBytes(&expected, blob_size, 1) ||
+      expected != frame.payload.size()) {
+    return Reject(path, "table counts do not match the payload size");
   }
-  TraceAggregates agg;
-  if (h.aggregate_region_count > 0) {
-    const uint64_t n = h.aggregate_region_count;
-    if (!ReadArray(f.get(), n, agg.visible_cold_starts) ||
-        !ReadArray(f.get(), n, agg.prewarm_spawns) ||
-        !ReadArray(f.get(), n, agg.delayed_allocations) ||
-        !ReadArray(f.get(), n, agg.scratch_allocations) ||
-        !ReadArray(f.get(), n, agg.cold_start_latency_sum_us) ||
-        std::fread(&agg.events_processed, sizeof(uint64_t), 1, f.get()) != 1) {
-      return false;
-    }
+  const char* p = frame.payload.data() + kHeaderBytes;
+  std::vector<RequestRecord> requests = TakeArray<RequestRecord>(&p, request_count);
+  std::vector<ColdStartRecord> cold_starts =
+      TakeArray<ColdStartRecord>(&p, cold_start_count);
+  std::vector<FunctionRecord> functions = TakeArray<FunctionRecord>(&p, function_count);
+  std::vector<PodLifetimeRecord> pods = TakeArray<PodLifetimeRecord>(&p, pod_count);
+  if (blob != nullptr) {
+    blob->assign(p, blob_size);
   }
-  if (h.cost_blob_size > 0) {
-    agg.cost_ledger.resize(h.cost_blob_size);
-    if (std::fread(agg.cost_ledger.data(), 1, h.cost_blob_size, f.get()) !=
-        h.cost_blob_size) {
-      return false;
-    }
-  }
-  // The size check above already pinned the payload length; confirm we are exactly
-  // at EOF so a short read cannot slip through.
-  if (std::fgetc(f.get()) != EOF) {
-    return false;
-  }
-  // Validate the payload CRC (v5) over the spans just read, in file order. A
-  // mismatch means storage corruption — reject loudly, naming the file, and
-  // let the caller fall back to a fresh run.
-  uint32_t crc = CrcArray(requests, 0);
-  crc = CrcArray(cold_starts, crc);
-  crc = CrcArray(functions, crc);
-  crc = CrcArray(pods, crc);
-  if (h.aggregate_region_count > 0) {
-    crc = CrcArray(agg.visible_cold_starts, crc);
-    crc = CrcArray(agg.prewarm_spawns, crc);
-    crc = CrcArray(agg.delayed_allocations, crc);
-    crc = CrcArray(agg.scratch_allocations, crc);
-    crc = CrcArray(agg.cold_start_latency_sum_us, crc);
-    crc = Crc32(&agg.events_processed, sizeof(uint64_t), crc);
-  }
-  if (h.cost_blob_size > 0) {
-    crc = Crc32(agg.cost_ledger.data(), agg.cost_ledger.size(), crc);
-  }
-  if (crc != h.payload_crc) {
-    std::fprintf(stderr,
-                 "binary trace %s: payload CRC mismatch (file corrupt), "
-                 "ignoring cached trace\n",
-                 path.c_str());
-    return false;
-  }
-  for (const auto& fn : functions) {
-    store.AddFunction(fn);
-  }
-  for (const auto& r : requests) {
-    store.AddRequest(r);
-  }
-  for (const auto& c : cold_starts) {
-    store.AddColdStart(c);
-  }
-  for (const auto& p : pods) {
-    store.AddPodLifetime(p);
-  }
-  store.set_horizon(static_cast<SimTime>(h.horizon));
-  if (aggregates != nullptr) {
-    *aggregates = std::move(agg);
-  }
+  store.RestoreTables(std::move(requests), std::move(cold_starts), std::move(functions),
+                      std::move(pods), horizon);
   return true;
 }
 

@@ -1,50 +1,35 @@
 // Binary trace serialization: the fast path for the scenario cache.
 //
-// One file holds all four tables as length-prefixed arrays of packed records, plus an
-// optional per-region aggregate block (the platform counters an ExperimentResult
-// carries) so a cache hit restores exactly what a fresh run would have produced. The
-// format is local to a build (records are written with memcpy semantics and guarded
-// by size fields in the header); cross-toolchain interchange should use csv.h.
+// One framed file (common/framed_file.h) holds all four tables as packed record
+// arrays, plus one opaque blob that the caller owns. Experiment::RunCached keeps
+// its per-region platform counters and cost ledger there, so a cache hit
+// restores exactly what a fresh run would have produced. The format is local to
+// a build: records are copied with memcpy semantics and guarded by size fields
+// in the payload header. Cross-toolchain interchange should use csv.h.
 #ifndef COLDSTART_TRACE_BINARY_IO_H_
 #define COLDSTART_TRACE_BINARY_IO_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "trace/trace_store.h"
 
 namespace coldstart::trace {
 
-// Per-region platform counters persisted alongside the trace. All five vectors have
-// one entry per region; `events_processed` is the simulator's total event count.
-struct TraceAggregates {
-  std::vector<int64_t> visible_cold_starts;
-  std::vector<int64_t> prewarm_spawns;
-  std::vector<int64_t> delayed_allocations;
-  std::vector<int64_t> scratch_allocations;
-  std::vector<int64_t> cold_start_latency_sum_us;
-  uint64_t events_processed = 0;
-  // Opaque resource-cost ledger state (platform::ResourceCostLedger::SaveState
-  // bytes). The trace layer cannot depend on platform/, so it round-trips the
-  // blob verbatim; empty = the file predates cost tracking or carried none.
-  std::string cost_ledger;
-};
-
-// Writes the whole store (and, when given, the aggregate block); returns false on
-// I/O failure. The write is atomic (tmp + fsync + rename): a crash mid-write
-// leaves the previous file, never a truncated one, at `path`.
+// Writes the whole store and `blob`; returns false on I/O failure. The write is
+// atomic: a crash mid-write leaves the previous file, never a truncated one, at
+// `path`.
 bool WriteBinaryTrace(const TraceStore& store, const std::string& path,
-                      const TraceAggregates* aggregates = nullptr);
+                      std::string_view blob = {});
 
-// Reads into an empty store; returns false on I/O failure, bad magic, a record layout
-// mismatch (e.g. cache written by a different build), a header whose table counts
-// do not match the actual file size (truncated or corrupt files are rejected before
-// any allocation is sized from them), or a payload CRC mismatch (bit rot — reported
-// on stderr naming the file). When `aggregates` is non-null and the file
-// carries an aggregate block, it is filled in; a file without one leaves it empty.
+// Reads into an empty store. Returns false when the file is missing or is
+// rejected; every rejection is reported on stderr naming the file. A file is
+// rejected for a corrupt frame (bad magic, wrong size, CRC mismatch), a record
+// layout from a different build, or table counts that do not add up to the
+// payload size. The counts are checked, with overflow guards, before any
+// allocation is sized from them. When `blob` is non-null it receives the blob.
 bool ReadBinaryTrace(const std::string& path, TraceStore& store,
-                     TraceAggregates* aggregates = nullptr);
+                     std::string* blob = nullptr);
 
 }  // namespace coldstart::trace
 

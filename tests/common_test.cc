@@ -1,14 +1,24 @@
 // Tests for the common layer: RNG, histograms, env parsing, time formatting,
-// tables, and the small-buffer handler the event queue stores.
+// tables, the small-buffer handler the event queue stores, and the one file
+// frame every binary state file uses.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/env.h"
+#include "common/framed_file.h"
 #include "common/histogram.h"
 #include "common/inline_handler.h"
 #include "common/rng.h"
@@ -427,6 +437,103 @@ TEST(TableTest, FormatDoubleSwitchesToScientific) {
   // Empty-distribution statistics are NaN by contract; tables must say so
   // explicitly instead of printing a number-like "nan".
   EXPECT_EQ(FormatDouble(std::nan(""), 2), "n/a");
+}
+
+
+// --- The one file frame: checkpoints, the trace cache and the frontier cache
+// all load through ReadFramedFile, so every damaged frame must come back
+// kCorrupt (never kOk) without a crash, and an absent one kMissing. ---
+
+class FramedFileTest : public testing::Test {
+ protected:
+  static constexpr uint64_t kMagic = 0x7473657466726d63ull;  // "cmrftest".
+
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("coldstart_framed_file_test_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    path_ = (dir_ / "frame.bin").string();
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string Slurp() const {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  void Spit(const std::string& bytes) const {
+    std::ofstream(path_, std::ios::binary | std::ios::trunc) << bytes;
+  }
+  // Writes `bytes` as the whole file and reads it back as a frame.
+  FrameRead ReadBytes(const std::string& bytes, uint64_t magic = kMagic) const {
+    Spit(bytes);
+    return ReadFramedFile(path_, magic);
+  }
+
+  std::filesystem::path dir_;
+  std::string path_;
+};
+
+TEST_F(FramedFileTest, GatheredPartsRoundTripInTheDocumentedLayout) {
+  ASSERT_TRUE(WriteFramedFile(path_, kMagic, {"state", "", "-bytes"}));
+  const std::string bytes = Slurp();
+  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + 11);
+  uint64_t magic = 0;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+  std::memcpy(&magic, bytes.data(), 8);
+  std::memcpy(&size, bytes.data() + 8, 8);
+  std::memcpy(&crc, bytes.data() + 16, 4);
+  EXPECT_EQ(magic, kMagic);
+  EXPECT_EQ(size, 11u);
+  EXPECT_EQ(crc, Crc32("state-bytes", 11));
+  EXPECT_EQ(bytes.substr(kFrameHeaderBytes), "state-bytes");
+
+  const FrameRead read = ReadFramedFile(path_, kMagic);
+  EXPECT_EQ(read.status, FrameStatus::kOk);
+  EXPECT_EQ(read.payload, "state-bytes");
+
+  ASSERT_TRUE(WriteFramedFile(path_, kMagic, {}));
+  const FrameRead empty = ReadFramedFile(path_, kMagic);
+  EXPECT_EQ(empty.status, FrameStatus::kOk);
+  EXPECT_TRUE(empty.payload.empty());
+}
+
+TEST_F(FramedFileTest, MissingFileIsMissing) {
+  const FrameRead read = ReadFramedFile((dir_ / "absent.bin").string(), kMagic);
+  EXPECT_EQ(read.status, FrameStatus::kMissing);
+  EXPECT_TRUE(read.payload.empty());
+}
+
+TEST_F(FramedFileTest, EveryMutationIsCorrupt) {
+  ASSERT_TRUE(WriteFramedFile(path_, kMagic, {"state", "-bytes"}));
+  const std::string good = Slurp();
+  ASSERT_EQ(ReadBytes(good).status, FrameStatus::kOk);
+
+  const auto expect_corrupt = [](const FrameRead& read, const std::string& what,
+                                 const std::string& reason) {
+    EXPECT_EQ(read.status, FrameStatus::kCorrupt) << what;
+    EXPECT_EQ(std::string(read.reason), reason) << what;
+    EXPECT_TRUE(read.payload.empty()) << what;
+  };
+  for (size_t len = 0; len < good.size(); ++len) {
+    expect_corrupt(ReadBytes(good.substr(0, len)), "truncated to " + std::to_string(len),
+                   len < kFrameHeaderBytes ? "truncated header" : "payload size mismatch");
+  }
+  expect_corrupt(ReadBytes(good + '\0'), "one appended byte", "payload size mismatch");
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = good;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      const std::string reason = i < 8    ? "bad magic or version"
+                                 : i < 16 ? "payload size mismatch"
+                                          : "payload CRC mismatch";
+      expect_corrupt(ReadBytes(flipped),
+                     "bit " + std::to_string(bit) + " of byte " + std::to_string(i),
+                     reason);
+    }
+  }
+  expect_corrupt(ReadBytes(good, kMagic + 1), "wrong magic", "bad magic or version");
 }
 
 }  // namespace

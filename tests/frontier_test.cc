@@ -237,16 +237,17 @@ TEST_F(FrontierCacheTest, CorruptCacheEntryRejectedAndReevaluated) {
   const FrontierResult fresh = core::RunFrontier(config, candidates, 1, dir_);
 
   // Flip one payload bit in every cache file: the CRC must reject each entry
-  // and the driver must fall back to fresh (identical) evaluations.
+  // and RunFrontier must fall back to fresh (identical) evaluations. Offset 30
+  // is a payload byte: the frame header before it is 20 bytes.
   for (const auto& entry : fs::directory_iterator(dir_)) {
     std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    f.seekp(10);
+    f.seekp(30);
     char byte = 0;
-    f.seekg(10);
+    f.seekg(30);
     f.read(&byte, 1);
     byte ^= 0x40;
-    f.seekp(10);
+    f.seekp(30);
     f.write(&byte, 1);
   }
   testing::internal::CaptureStderr();

@@ -136,16 +136,16 @@ TEST(SimulatorTest, StoppedRunLeavesClockAtLastEvent) {
 }
 
 TEST(SimulatorTest, SameTimeFifoAcrossWheelLevels) {
-  // Events at one far timestamp enter through different structures over time
-  // (overflow at schedule, L1 after a partial run, L0 near the end); FIFO by
-  // insertion must survive every migration.
+  // Events at one far timestamp are pushed at different moments: from far
+  // ahead, after a partial run, and just before the timestamp. The key heap
+  // orders equal times by insertion seq, so they fire FIFO.
   Simulator sim;
   const SimTime t = 10 * kMinute;
   std::vector<int> order;
-  sim.ScheduleAt(t, [&] { order.push_back(0); });        // Overflow at schedule.
-  sim.RunUntil(8 * kMinute);                             // Now within the L1 window.
+  sim.ScheduleAt(t, [&] { order.push_back(0); });        // Pushed 10 minutes ahead.
+  sim.RunUntil(8 * kMinute);                             // Now 2 minutes before t.
   sim.ScheduleAt(t, [&] { order.push_back(1); });
-  sim.RunUntil(t - 100 * kMillisecond);                  // Now within the L0 window.
+  sim.RunUntil(t - 100 * kMillisecond);                  // Now 100 ms before t.
   sim.ScheduleAt(t, [&] { order.push_back(2); });
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
@@ -168,14 +168,15 @@ TEST(SimulatorTest, MixedHorizonsFireInTimeOrder) {
 }
 
 TEST(SimulatorTest, ScheduleIntoCursorGapPreservesOrder) {
-  // RunUntil may scout the wheel cursor past its horizon while peeking at a far
-  // event; a later schedule into that gap must still fire first.
+  // RunUntil stops at its limit and leaves a far event on the heap; events
+  // scheduled afterwards between now and that far event must still fire
+  // first, in insertion order.
   Simulator sim;
   std::vector<int> order;
-  sim.ScheduleAt(kHour, [&] { order.push_back(1); });  // Far event, peeked at.
+  sim.ScheduleAt(kHour, [&] { order.push_back(1); });  // Far event, left queued.
   sim.RunUntil(1000);
   EXPECT_EQ(sim.now(), 1000);
-  sim.ScheduleAt(2000, [&] { order.push_back(0); });  // Behind the scouted cursor.
+  sim.ScheduleAt(2000, [&] { order.push_back(0); });  // Before the far event.
   sim.ScheduleAt(2000, [&] { order.push_back(10); });
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{0, 10, 1}));

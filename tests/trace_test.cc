@@ -1,9 +1,12 @@
 // Tests for the trace layer: types, store, aggregation, CSV and binary round trips.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
+#include "common/framed_file.h"
 #include "common/rng.h"
 #include "trace/aggregate.h"
 #include "trace/binary_io.h"
@@ -255,27 +258,19 @@ TEST_F(RoundTripTest, BinaryPreservesEverything) {
   EXPECT_EQ(loaded.pods()[0].ready_time, store.pods()[0].ready_time);
 }
 
-TEST_F(RoundTripTest, BinaryPreservesAggregates) {
+TEST_F(RoundTripTest, BinaryPreservesBlob) {
+  // The caller's opaque blob (RunCached keeps its per-region counters and cost
+  // ledger there) round-trips byte for byte next to the tables.
   const TraceStore store = MakeTinyStore();
-  const std::string path = (dir_ / "trace_agg.bin").string();
-  TraceAggregates agg;
-  agg.visible_cold_starts = {10, 20};
-  agg.prewarm_spawns = {1, 2};
-  agg.delayed_allocations = {0, 3};
-  agg.scratch_allocations = {4, 5};
-  agg.cold_start_latency_sum_us = {123456, 654321};
-  agg.events_processed = 987654321;
-  ASSERT_TRUE(WriteBinaryTrace(store, path, &agg));
+  const std::string path = (dir_ / "trace_blob.bin").string();
+  const std::string blob("counters\0and ledger", 19);
+  ASSERT_TRUE(WriteBinaryTrace(store, path, blob));
   TraceStore loaded;
-  TraceAggregates loaded_agg;
-  ASSERT_TRUE(ReadBinaryTrace(path, loaded, &loaded_agg));
-  EXPECT_EQ(loaded_agg.visible_cold_starts, agg.visible_cold_starts);
-  EXPECT_EQ(loaded_agg.prewarm_spawns, agg.prewarm_spawns);
-  EXPECT_EQ(loaded_agg.delayed_allocations, agg.delayed_allocations);
-  EXPECT_EQ(loaded_agg.scratch_allocations, agg.scratch_allocations);
-  EXPECT_EQ(loaded_agg.cold_start_latency_sum_us, agg.cold_start_latency_sum_us);
-  EXPECT_EQ(loaded_agg.events_processed, agg.events_processed);
+  std::string loaded_blob;
+  ASSERT_TRUE(ReadBinaryTrace(path, loaded, &loaded_blob));
+  EXPECT_EQ(loaded_blob, blob);
   EXPECT_EQ(loaded.requests().size(), store.requests().size());
+  EXPECT_EQ(Digest(loaded), Digest(store));
 }
 
 TEST_F(RoundTripTest, BinaryRejectsGarbage) {
@@ -287,6 +282,25 @@ TEST_F(RoundTripTest, BinaryRejectsGarbage) {
   EXPECT_FALSE(ReadBinaryTrace(path, loaded));
 }
 
+// Byte offset of the request count in the trace payload, after the i64 horizon.
+constexpr size_t kRequestCountOffset = 8;
+
+// Overwrites the u64 at `offset` in the payload of the framed trace at `path`
+// and re-frames the file with a valid CRC through the public writer, so that
+// only the reader's count guards can reject it.
+void PatchPayloadU64(const std::string& path, size_t offset, uint64_t value) {
+  uint64_t magic = 0;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fread(&magic, sizeof(magic), 1, f), 1u);
+  std::fclose(f);
+  FrameRead frame = ReadFramedFile(path, magic);
+  ASSERT_EQ(frame.status, FrameStatus::kOk);
+  ASSERT_LE(offset + sizeof(value), frame.payload.size());
+  std::memcpy(frame.payload.data() + offset, &value, sizeof(value));
+  ASSERT_TRUE(WriteFramedFile(path, magic, {frame.payload}));
+}
+
 TEST_F(RoundTripTest, BinaryRejectsCorruptHeaderCounts) {
   // A header whose counts promise far more data than the file holds must be
   // rejected up front — the old reader would resize() straight off the bogus
@@ -294,37 +308,38 @@ TEST_F(RoundTripTest, BinaryRejectsCorruptHeaderCounts) {
   const TraceStore store = MakeTinyStore();
   const std::string path = (dir_ / "corrupt_counts.bin").string();
   ASSERT_TRUE(WriteBinaryTrace(store, path));
+  // Re-framing the true count keeps the file valid: the frame is not the test.
+  ASSERT_NO_FATAL_FAILURE(
+      PatchPayloadU64(path, kRequestCountOffset, store.requests().size()));
   {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    // request_count sits after magic + horizon.
-    ASSERT_EQ(std::fseek(f, 2 * sizeof(uint64_t), SEEK_SET), 0);
-    const uint64_t absurd = uint64_t{1} << 40;  // ~5e13 records.
-    ASSERT_EQ(std::fwrite(&absurd, sizeof(absurd), 1, f), 1u);
-    std::fclose(f);
+    TraceStore control;
+    ASSERT_TRUE(ReadBinaryTrace(path, control));
   }
+  const uint64_t absurd = uint64_t{1} << 40;  // ~1e12 records.
+  ASSERT_NO_FATAL_FAILURE(PatchPayloadU64(path, kRequestCountOffset, absurd));
+  testing::internal::CaptureStderr();
   TraceStore loaded;
   EXPECT_FALSE(ReadBinaryTrace(path, loaded));
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("table counts"), std::string::npos) << log;
   EXPECT_TRUE(loaded.requests().empty());
 }
 
 TEST_F(RoundTripTest, BinaryRejectsOverflowingHeaderCounts) {
-  // Counts crafted so that count * record_size wraps mod 2^64 must be rejected by
-  // the overflow guard, not slip past the file-size comparison into resize().
+  // A count crafted so that count * record_size wraps mod 2^64 back to the true
+  // table size must be rejected by the overflow guard, not slip past the
+  // payload-size comparison into a vector of ~2^60 records.
   const TraceStore store = MakeTinyStore();
   const std::string path = (dir_ / "overflow_counts.bin").string();
   ASSERT_TRUE(WriteBinaryTrace(store, path));
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    // aggregate_region_count sits after magic + horizon + the four table counts.
-    ASSERT_EQ(std::fseek(f, 6 * sizeof(uint64_t), SEEK_SET), 0);
-    const uint64_t wrapping = uint64_t{1} << 61;  // * 40 bytes == 0 mod 2^64.
-    ASSERT_EQ(std::fwrite(&wrapping, sizeof(wrapping), 1, f), 1u);
-    std::fclose(f);
-  }
+  const uint64_t wrap = uint64_t{1} << (64 - std::countr_zero(sizeof(RequestRecord)));
+  ASSERT_NO_FATAL_FAILURE(
+      PatchPayloadU64(path, kRequestCountOffset, store.requests().size() + wrap));
+  testing::internal::CaptureStderr();
   TraceStore loaded;
   EXPECT_FALSE(ReadBinaryTrace(path, loaded));
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("table counts"), std::string::npos) << log;
 }
 
 TEST_F(RoundTripTest, BinaryRejectsTruncatedFile) {
