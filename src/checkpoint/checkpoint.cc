@@ -12,14 +12,16 @@ namespace coldstart::checkpoint {
 
 namespace {
 
-// "cckpt_v4" / "cmnft_v3", little-endian. Checkpoint v4 frames the cold-start
-// model layer into the platform payload — per-(region, cell) model identity plus
-// a mutable-state blob, the resource-cost ledger's 128-bit sums, and the per-pod
-// warm-idle accumulator. (v3 switched the LogHistogram latency sum to 128-bit
-// fixed point; manifest v3 added shards_per_region and is layout-unchanged by
-// v4.) Older files encode different layouts and are rejected here as "bad
-// magic" rather than half-restored.
-constexpr uint64_t kCheckpointMagic = 0x34765F74706B6363ull;
+// "cckpt_v5" / "cmnft_v3", little-endian. Checkpoint v5 saves the platform's
+// pending events as they stand in the queue — kind, key and payload, superseded
+// keep-alives included — in place of v4's per-pod seq bookkeeping and
+// in-flight registries, and bounds every container count. (v4 framed the
+// cold-start model layer and the cost ledger into the platform payload; v3
+// switched the LogHistogram latency sum to 128-bit fixed point; manifest v3
+// added shards_per_region and is layout-unchanged since.) Older files encode
+// different layouts and are rejected here as "bad magic" rather than
+// half-restored.
+constexpr uint64_t kCheckpointMagic = 0x35765F74706B6363ull;
 constexpr uint64_t kManifestMagic = 0x33765F74666E6D63ull;
 
 [[noreturn]] void Corrupt(const std::string& path, const char* what) {
@@ -85,7 +87,7 @@ bool WriteManifest(const std::string& dir, const Manifest& manifest) {
   w.U32(manifest.num_regions);
   w.U8(manifest.sharded ? 1 : 0);
   w.U32(manifest.shards_per_region);
-  w.U64(manifest.entries.size());
+  w.Count(manifest.entries.size());
   for (const ManifestEntry& e : manifest.entries) {
     w.U32(e.shard);
     w.I64(e.day);
@@ -106,7 +108,8 @@ bool ReadManifest(const std::string& dir, Manifest* manifest) {
   manifest->num_regions = r.U32();
   manifest->sharded = r.U8() != 0;
   manifest->shards_per_region = r.U32();
-  manifest->entries.resize(r.U64());
+  // An entry takes at least its shard (u32), day (i64) and name length (u64).
+  manifest->entries.resize(r.Count(4 + 8 + 8));
   for (ManifestEntry& e : manifest->entries) {
     e.shard = r.U32();
     e.day = r.I64();

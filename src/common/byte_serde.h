@@ -9,7 +9,9 @@
 //
 // Readers CHECK-fail on underflow rather than returning errors: the payload
 // CRC has already been validated by the time a ByteReader runs, so running out
-// of bytes means a writer/reader mismatch — a bug, not bad input. That bug
+// of bytes means a writer/reader mismatch — a bug, not bad input. A count that
+// sizes a container travels through Count, which is checked against the
+// unread bytes before anything is allocated from it. The mismatch bug
 // class is also caught statically: coldstart_lint's serde-pair rule compares
 // the op sequences of every Save*/Restore* (and Write*/Read*) pair in count
 // and type (tools/lint/lint.h).
@@ -41,6 +43,8 @@ class ByteWriter {
     U64(s.size());
     Raw(s.data(), s.size());
   }
+  // The element count of an array that follows; ByteReader::Count bounds it.
+  void Count(uint64_t n) { U64(n); }
   // Raw bytes, no length prefix — the reader must know the size.
   void Raw(const void* data, size_t size) {
     buf_.append(static_cast<const char*>(data), size);
@@ -89,6 +93,15 @@ class ByteReader {
     std::string s(p_, size);
     p_ += size;
     return s;
+  }
+  // Reads a ByteWriter::Count and checks that that many elements of
+  // `elem_size` bytes each fit in the unread payload, so a caller can size a
+  // container from it. Overflow-safe: the product is never formed.
+  uint64_t Count(size_t elem_size) {
+    const uint64_t count = U64();
+    COLDSTART_CHECK(elem_size > 0 && count <= Remaining() / elem_size &&
+                    "element count exceeds the remaining payload");
+    return count;
   }
   void Raw(void* out, size_t size) {
     COLDSTART_CHECK(size <= Remaining());

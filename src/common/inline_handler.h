@@ -31,9 +31,7 @@ class InlineHandler {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineHandler(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kStoredInline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {
@@ -76,7 +74,29 @@ class InlineHandler {
   // True when the wrapped callable lives entirely in the inline buffer.
   bool is_inline() const { return ops_ != nullptr && ops_->inline_storage; }
 
+  // The wrapped callable when it is an `Fn`, else nullptr — like
+  // std::function::target. Lets a checkpoint writer read pending handlers of a
+  // known plain-data type without running them.
+  template <typename Fn>
+  const Fn* target() const {
+    if constexpr (kStoredInline<Fn>) {
+      if (ops_ == &kInlineOps<Fn>) {
+        return std::launder(reinterpret_cast<const Fn*>(buf_));
+      }
+    } else {
+      if (ops_ == &kHeapOps<Fn>) {
+        return *std::launder(reinterpret_cast<Fn* const*>(buf_));
+      }
+    }
+    return nullptr;
+  }
+
  private:
+  template <typename Fn>
+  static constexpr bool kStoredInline = sizeof(Fn) <= kInlineCapacity &&
+                                        alignof(Fn) <= alignof(std::max_align_t) &&
+                                        std::is_nothrow_move_constructible_v<Fn>;
+
   struct Ops {
     void (*invoke)(void*);
     // Move-constructs the payload at dst from src and destroys src.

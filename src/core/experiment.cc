@@ -77,7 +77,7 @@ void ResizeStats(ExperimentResult& result, size_t regions) {
 // cache format: a checkpoint is consumed on the machine that wrote it.
 template <typename Record>
 void SaveTable(const std::vector<Record>& table, ByteWriter& w) {
-  w.U64(table.size());
+  w.Count(table.size());
   if (!table.empty()) {
     w.Raw(table.data(), table.size() * sizeof(Record));
   }
@@ -85,7 +85,7 @@ void SaveTable(const std::vector<Record>& table, ByteWriter& w) {
 
 template <typename Record>
 std::vector<Record> RestoreTable(ByteReader& r) {
-  std::vector<Record> table(r.U64());
+  std::vector<Record> table(r.Count(sizeof(Record)));
   if (!table.empty()) {
     r.Raw(table.data(), table.size() * sizeof(Record));
   }
@@ -188,6 +188,8 @@ int64_t RestoreShard(const std::string& dir, const checkpoint::ManifestEntry& en
 // Serializes manifest updates across shard threads: each Commit writes the
 // shard's checkpoint file, installs its manifest entry, and atomically
 // rewrites the manifest — so the manifest always names fully committed files.
+// Entries are kept sorted by shard id, so the manifest's bytes do not depend
+// on which shard thread committed first.
 class CheckpointCommitter {
  public:
   CheckpointCommitter(const CheckpointPolicy& policy, uint64_t fingerprint,
@@ -207,6 +209,7 @@ class CheckpointCommitter {
   // shard that has not checkpointed again yet keeps its old entry.
   void SeedFrom(const checkpoint::Manifest& manifest) {
     manifest_.entries = manifest.entries;
+    std::sort(manifest_.entries.begin(), manifest_.entries.end(), ShardLess);
   }
 
   void Commit(int64_t day, uint32_t shard, const std::string& payload) {
@@ -223,17 +226,14 @@ class CheckpointCommitter {
     std::string superseded;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      bool found = false;
-      for (checkpoint::ManifestEntry& e : manifest_.entries) {
-        if (e.shard == shard) {
-          e.day = day;
-          superseded = std::exchange(e.file, file);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        manifest_.entries.push_back({shard, day, file});
+      const checkpoint::ManifestEntry entry{shard, day, file};
+      auto it = std::lower_bound(manifest_.entries.begin(), manifest_.entries.end(),
+                                 entry, ShardLess);
+      if (it != manifest_.entries.end() && it->shard == shard) {
+        it->day = day;
+        superseded = std::exchange(it->file, file);
+      } else {
+        manifest_.entries.insert(it, entry);
       }
       COLDSTART_CHECK(checkpoint::WriteManifest(policy_.dir, manifest_) &&
                       "failed to write checkpoint manifest");
@@ -250,6 +250,11 @@ class CheckpointCommitter {
   }
 
  private:
+  static bool ShardLess(const checkpoint::ManifestEntry& a,
+                        const checkpoint::ManifestEntry& b) {
+    return a.shard < b.shard;
+  }
+
   const CheckpointPolicy& policy_;
   checkpoint::Manifest manifest_;
   std::mutex mu_;

@@ -125,32 +125,53 @@ Platform::Platform(const workload::Population& population,
 
   if (policy_ != nullptr) {
     policy_->OnAttach(*this);
-    // The minute tick is platform-managed (not sim::SchedulePeriodic) so its
-    // (time, seq) key is recorded and a checkpoint restore can re-queue it.
-    // Seq consumption is identical to the periodic helper it replaced: one seq
-    // here, one per reschedule after the tick body runs. On resume the restored
-    // state re-queues the pending tick instead.
+    // The minute tick is a platform Event: one seq here, then one per tick,
+    // taken after the tick body has run. A resuming platform gets its pending
+    // tick back from the checkpoint instead.
     if (!options_.resuming && calendar_.horizon() > 0) {
-      SchedulePolicyTick(0);
+      Schedule(0, {.kind = Event::Kind::kPolicyTick});
     }
   }
 }
 
-void Platform::SchedulePolicyTick(SimTime t) {
-  policy_tick_time_ = t;
-  policy_tick_seq_ = sim_.next_seq();
-  sim_.ScheduleAt(t, [this] { RunPolicyTick(); });
+void Platform::Schedule(SimTime t, Event e) {
+  e.platform = this;
+  sim_.ScheduleAt(t, e);
+}
+
+void Platform::Event::operator()() const {
+  Platform& p = *platform;
+  switch (kind) {
+    case Kind::kDayStart:
+      p.OpenDayChunk(arg);
+      return;
+    case Kind::kPolicyTick:
+      p.RunPolicyTick();
+      return;
+    case Kind::kLoadDecrement:
+      p.RunLoadDecrement(static_cast<size_t>(arg), flag);
+      return;
+    case Kind::kKeepAlive:
+      p.RunKeepAlive(pod, static_cast<uint64_t>(arg));
+      return;
+    case Kind::kCompletion:
+      // The completion is queued at its exec end.
+      p.OnRequestComplete(pod, arg, p.sim_.now(), exec_us,
+                          p.population_.functions[function]);
+      return;
+    case Kind::kInvoke:
+      p.HandleArrival(function, flag);
+      return;
+  }
 }
 
 void Platform::RunPolicyTick() {
-  // Fire first, then reschedule — the Recur closure this replaces ran the body
-  // before consuming the next tick's seq, and the order must match exactly.
+  // The body runs first and the next tick takes its seq afterwards, so events
+  // the body queues order ahead of it.
   policy_->OnMinuteTick(sim_.now());
   const SimTime next = sim_.now() + kMinute;
   if (next < calendar_.horizon()) {
-    SchedulePolicyTick(next);
-  } else {
-    policy_tick_time_ = -1;
+    Schedule(next, {.kind = Event::Kind::kPolicyTick});
   }
 }
 
@@ -243,7 +264,6 @@ void Platform::AttachArrivalStream(std::unique_ptr<workload::ArrivalStream> stre
   }
   const SimTime horizon = calendar_.horizon();
   bool any = false;
-  starter_seq_base_ = sim_.next_seq();  // Day k's starter is seq base + k.
   for (int64_t day = 0; day * kDay < horizon; ++day) {
     // Wake exactly at the day boundary (covers the t=0 first arrival: day_start
     // is never negative). Anchoring the batch's seq reservation at day start —
@@ -251,9 +271,8 @@ void Platform::AttachArrivalStream(std::unique_ptr<workload::ArrivalStream> stre
     // stream contains — keeps the (time, seq) interleaving of arrivals and
     // handler-scheduled events identical between the serial run and per-region
     // shards.
-    sim_.ScheduleAt(day * kDay, [this, day] { OpenDayChunk(day); });
+    Schedule(day * kDay, {.kind = Event::Kind::kDayStart, .arg = day});
     any = true;
-    ++num_starters_;
   }
   if (any) {
     sim_.AttachSource(&arrival_cursor_);
@@ -448,8 +467,9 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   if (has_deps) {
     ++load.active_dep_deploys;
   }
-  pod->ready_decr_seq = sim_.next_seq();
-  sim_.ScheduleAt(h.ready_time, MakeLoadDecrementHandler(idx, has_deps));
+  Schedule(h.ready_time, {.kind = Event::Kind::kLoadDecrement,
+                          .flag = has_deps,
+                          .arg = static_cast<int64_t>(idx)});
   ++load.total_cold_starts;
 
   if (prewarmed) {
@@ -479,16 +499,13 @@ Pod* Platform::StartColdStart(const FunctionSpec& spec, RegionId region, bool pr
   return pod;
 }
 
-sim::Simulator::Handler Platform::MakeLoadDecrementHandler(size_t load_index,
-                                                           bool has_deps) {
-  return [this, load_index, has_deps] {
-    RegionLoadState& l = loads_[load_index];
-    --l.active_cold_starts;
-    --l.active_code_deploys;
-    if (has_deps) {
-      --l.active_dep_deploys;
-    }
-  };
+void Platform::RunLoadDecrement(size_t load_index, bool has_deps) {
+  RegionLoadState& l = loads_[load_index];
+  --l.active_cold_starts;
+  --l.active_code_deploys;
+  if (has_deps) {
+    --l.active_dep_deploys;
+  }
 }
 
 void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival) {
@@ -509,25 +526,11 @@ void Platform::AssignRequest(Pod* pod, const FunctionSpec& spec, SimTime arrival
   const uint32_t exec = static_cast<uint32_t>(exec_us);
   const SimTime exec_end = exec_start + exec;
 
-  // The completion's payload lives in the in-flight registry (checkpointable);
-  // the queued closure is just (this, registry handle).
-  auto [req, reg] = inflight_.Allocate();
-  req->pod = pod->self;
-  req->exec_start = exec_start;
-  req->exec_end = exec_end;
-  req->exec_us = exec;
-  req->function = spec.id;
-  req->seq = sim_.next_seq();
-  sim_.ScheduleAt(exec_end, [this, reg] { RunRequestCompletion(reg); });
-}
-
-void Platform::RunRequestCompletion(SlabHandle reg) {
-  InFlightRequest* req = inflight_.Resolve(reg);
-  COLDSTART_CHECK(req != nullptr);
-  const InFlightRequest copy = *req;
-  inflight_.Free(reg);
-  OnRequestComplete(copy.pod, copy.exec_start, copy.exec_end, copy.exec_us,
-                    population_.functions[copy.function]);
+  Schedule(exec_end, {.kind = Event::Kind::kCompletion,
+                      .function = spec.id,
+                      .exec_us = exec,
+                      .pod = pod->self,
+                      .arg = exec_start});
 }
 
 void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
@@ -594,47 +597,33 @@ void Platform::OnRequestComplete(SlabHandle handle, SimTime exec_start,
 }
 
 void Platform::ScheduleInvoke(SimTime t, FunctionId fid, bool delay_exempt) {
-  // Deferred HandleArrival through the pending-invoke registry, so the event
-  // survives a checkpoint with its original (time, seq) key.
-  auto [inv, reg] = invokes_.Allocate();
-  inv->time = t;
-  inv->seq = sim_.next_seq();
-  inv->function = fid;
-  inv->delay_exempt = delay_exempt;
-  sim_.ScheduleAt(t, [this, reg] { RunInvoke(reg); });
+  Schedule(t, {.kind = Event::Kind::kInvoke, .flag = delay_exempt, .function = fid});
 }
 
-void Platform::RunInvoke(SlabHandle reg) {
-  PendingInvoke* inv = invokes_.Resolve(reg);
-  COLDSTART_CHECK(inv != nullptr);
-  const PendingInvoke copy = *inv;
-  invokes_.Free(reg);
-  HandleArrival(copy.function, copy.delay_exempt);
+void Platform::RunKeepAlive(SlabHandle handle, uint64_t gen) {
+  Pod* p = pod_slab_.Resolve(handle);
+  if (p == nullptr) {
+    return;  // Already dead (the slot's generation moved on).
+  }
+  if (p->keepalive_gen != gen || hot(*p).slots_used > 0) {
+    return;  // Was re-used since; a newer keep-alive owns it.
+  }
+  KillPod(p, sim_.now());
 }
 
-sim::Simulator::Handler Platform::MakeKeepAliveHandler(SlabHandle handle,
-                                                       uint64_t gen) {
-  return [this, handle, gen] {
-    Pod* p = pod_slab_.Resolve(handle);
-    if (p == nullptr) {
-      return;  // Already dead (the slot's generation moved on).
-    }
-    if (p->keepalive_gen != gen || hot(*p).slots_used > 0) {
-      return;  // Was re-used since; a newer keep-alive owns it.
-    }
-    KillPod(p, sim_.now());
-  };
+void Platform::ScheduleKeepAlive(Pod* pod, SimTime t) {
+  const uint64_t gen = ++pod->keepalive_gen;
+  Schedule(t, {.kind = Event::Kind::kKeepAlive,
+               .pod = pod->self,
+               .arg = static_cast<int64_t>(gen)});
 }
 
 void Platform::ArmKeepAlive(Pod* pod) {
-  const uint64_t gen = ++pod->keepalive_gen;
   const FunctionSpec& spec = population_.functions[pod->function];
   const SimDuration keep_alive = policy_ != nullptr
                                      ? policy_->KeepAliveFor(spec, sim_.now())
                                      : options_.default_keep_alive;
-  pod->ka_time = sim_.now() + keep_alive;
-  pod->ka_seq = sim_.next_seq();
-  sim_.ScheduleAt(pod->ka_time, MakeKeepAliveHandler(pod->self, gen));
+  ScheduleKeepAlive(pod, sim_.now() + keep_alive);
 }
 
 void Platform::KillPod(Pod* pod, SimTime death_time) {
@@ -747,10 +736,7 @@ void Platform::SpawnPrewarmedPod(FunctionId function, RegionId region,
   const FunctionSpec& fspec = population_.functions.at(function);
   Pod* pod = StartColdStart(fspec, region, /*prewarmed=*/true, 0);
   // The prewarmed pod idles from readiness; give it the requested survival window.
-  const uint64_t gen = ++pod->keepalive_gen;
-  pod->ka_time = hot(*pod).ready_time + initial_keep_alive;
-  pod->ka_seq = sim_.next_seq();
-  sim_.ScheduleAt(pod->ka_time, MakeKeepAliveHandler(pod->self, gen));
+  ScheduleKeepAlive(pod, hot(*pod).ready_time + initial_keep_alive);
 }
 
 namespace {
@@ -761,9 +747,9 @@ namespace {
 template <typename T>
 void SaveSlabStructure(const Slab<T>& slab, ByteWriter& w) {
   const uint32_t cap = static_cast<uint32_t>(slab.capacity());
-  w.U32(cap);
+  w.Count(cap);
   const std::vector<uint32_t>& free_list = slab.free_list();
-  w.U64(free_list.size());
+  w.Count(free_list.size());
   for (const uint32_t i : free_list) {
     w.U32(i);
   }
@@ -779,8 +765,10 @@ void SaveSlabStructure(const Slab<T>& slab, ByteWriter& w) {
 // (in index order) so the caller can fill the payloads.
 template <typename T>
 std::vector<uint32_t> RestoreSlabStructure(Slab<T>& slab, ByteReader& r) {
-  const uint32_t cap = r.U32();
-  std::vector<uint32_t> free_list(r.U64());
+  // Every slot carries a u32 generation and a u8 alive flag.
+  const uint64_t cap = r.Count(sizeof(uint32_t) + sizeof(uint8_t));
+  COLDSTART_CHECK_LE(cap, UINT32_MAX);
+  std::vector<uint32_t> free_list(r.Count(sizeof(uint32_t)));
   for (uint32_t& i : free_list) {
     i = r.U32();
   }
@@ -798,18 +786,56 @@ std::vector<uint32_t> RestoreSlabStructure(Slab<T>& slab, ByteReader& r) {
       alive_indices.push_back(i);
     }
   }
-  slab.RestoreStructure(cap, std::move(free_list), generations, alive);
+  slab.RestoreStructure(static_cast<uint32_t>(cap), std::move(free_list),
+                        generations, alive);
   return alive_indices;
 }
+
+// A pending platform event with its queue key.
+struct PendingEvent {
+  SimTime time = 0;
+  uint64_t seq = 0;
+  Platform::Event event;
+};
+
+// Bytes one saved PendingEvent takes: time, seq, kind, flag, function,
+// exec_us, pod handle (index, generation), arg.
+constexpr size_t kSavedEventBytes = 8 + 8 + 1 + 1 + 4 + 4 + 4 + 4 + 8;
 
 }  // namespace
 
 void Platform::SaveCheckpointState(ByteWriter& w) const {
   const SimTime now = sim_.now();
-  // Quiescent day boundary: every event < the boundary fired, the live chunk is
-  // drained, and every pending event is reconstructible from the bookkeeping.
+  // Quiescent day boundary: every event < the boundary fired and the live
+  // chunk is drained, so the queue holds all the pending work.
   COLDSTART_CHECK_EQ((now + 1) % kDay, 0);
   COLDSTART_CHECK(arrival_cursor_.drained());
+
+  // The pending events, straight from the queue, sorted by (time, seq) so the
+  // bytes do not depend on the heap's layout. Superseded keep-alives stay:
+  // they fire as no-ops after a resume exactly as they would have without one.
+  std::vector<PendingEvent> pending;
+  pending.reserve(sim_.pending_events());
+  sim_.ForEachPending([&](SimTime t, uint64_t seq, const InlineHandler& handler) {
+    const Event* e = handler.target<Event>();
+    COLDSTART_CHECK(e != nullptr && e->platform == this &&
+                    "checkpoint: a pending event is not a platform event");
+    pending.push_back({t, seq, *e});
+  });
+  std::sort(pending.begin(), pending.end(),
+            [](const PendingEvent& a, const PendingEvent& b) {
+              return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+            });
+  // Slots of pods with a pending keep-alive of their current generation.
+  std::vector<uint8_t> armed(pod_slab_.capacity(), 0);
+  for (const PendingEvent& p : pending) {
+    const Pod* pod = p.event.kind == Event::Kind::kKeepAlive
+                         ? pod_slab_.Resolve(p.event.pod)
+                         : nullptr;
+    if (pod != nullptr && pod->keepalive_gen == static_cast<uint64_t>(p.event.arg)) {
+      armed[p.event.pod.index] = 1;
+    }
+  }
 
   // RNG substreams and id namespaces.
   w.U64(rngs_.size());
@@ -892,13 +918,10 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
     w.U64(p.keepalive_gen);
     w.U8(p.prewarmed ? 1 : 0);
     w.I64(p.idle_us);
-    w.U64(p.ready_decr_seq);
-    w.I64(p.ka_time);
-    w.U64(p.ka_seq);
-    // An idle alive pod must have a live keep-alive in the future — the event
-    // that will kill it. Anything else means the bookkeeping is broken.
+    // An idle alive pod must have a pending keep-alive of its current
+    // generation — the event that will kill it.
     if (h.slots_used == 0) {
-      COLDSTART_CHECK_GT(p.ka_time, now);
+      COLDSTART_CHECK(armed[i] != 0);
     }
   }
 
@@ -906,63 +929,40 @@ void Platform::SaveCheckpointState(ByteWriter& w) const {
   // FindPodWithSlot and PickCluster iterate these).
   w.U64(states_.size());
   for (const FunctionState& state : states_) {
-    w.U64(state.pods.size());
+    w.Count(state.pods.size());
     for (const Pod* pod : state.pods) {
       w.U32(pod->self.index);
     }
   }
 
-  // Arrival cursor guard + event-seq bookkeeping.
+  // Arrival cursor guard.
   w.I64(arrival_cursor_.last_time());
-  w.U64(starter_seq_base_);
-  w.I64(num_starters_);
-  w.I64(policy_tick_time_);
-  w.U64(policy_tick_seq_);
 
-  // In-flight completions and pending invokes (registries).
-  SaveSlabStructure(inflight_, w);
-  for (uint32_t i = 0; i < inflight_.capacity(); ++i) {
-    if (!inflight_.slot_alive(i)) {
-      continue;
-    }
-    const InFlightRequest& q = inflight_.slot_value(i);
-    w.U32(q.pod.index);
-    w.U32(q.pod.gen);
-    w.I64(q.exec_start);
-    w.I64(q.exec_end);
-    w.U32(q.exec_us);
-    w.U64(q.function);
-    w.U64(q.seq);
-  }
-  SaveSlabStructure(invokes_, w);
-  for (uint32_t i = 0; i < invokes_.capacity(); ++i) {
-    if (!invokes_.slot_alive(i)) {
-      continue;
-    }
-    const PendingInvoke& q = invokes_.slot_value(i);
-    w.I64(q.time);
-    w.U64(q.seq);
-    w.U64(q.function);
-    w.U8(q.delay_exempt ? 1 : 0);
+  // The pending events (field order: kSavedEventBytes).
+  w.Count(pending.size());
+  for (const PendingEvent& p : pending) {
+    const Event& e = p.event;
+    w.I64(p.time);
+    w.U64(p.seq);
+    w.U8(static_cast<uint8_t>(e.kind));
+    w.U8(e.flag ? 1 : 0);
+    w.U32(e.function);
+    w.U32(e.exec_us);
+    w.U32(e.pod.index);
+    w.U32(e.pod.gen);
+    w.I64(e.arg);
   }
 
-  // Arrival stream: 2 = no stream attached; 1 = stream state captured;
-  // 0 = stream cannot serialize — restore falls back on the determinism
-  // contract (reopen and discard the consumed days). The mode byte and the
-  // (possibly empty) state blob are written unconditionally so the write/read
-  // op sequences stay symmetric in every mode (lint:serde-pair).
-  uint8_t stream_mode = 2;
+  // Arrival stream: a presence byte and the (possibly empty) state blob,
+  // both written unconditionally so the write/read op sequences stay
+  // symmetric (lint:serde-pair).
   std::string stream_state;
   if (arrival_stream_ != nullptr) {
     ByteWriter sw;
-    if (arrival_stream_->SaveState(sw)) {
-      stream_mode = 1;
-      stream_state = sw.data();
-    } else {
-      stream_mode = 0;
-    }
+    COLDSTART_CHECK(arrival_stream_->SaveState(sw));
+    stream_state = sw.Take();
   }
-  w.U8(stream_mode);
+  w.U8(arrival_stream_ != nullptr ? 1 : 0);
   w.Str(stream_state);
 }
 
@@ -1051,114 +1051,64 @@ void Platform::RestoreCheckpointState(
     p.keepalive_gen = r.U64();
     p.prewarmed = r.U8() != 0;
     p.idle_us = r.I64();
-    p.ready_decr_seq = r.U64();
-    p.ka_time = r.I64();
-    p.ka_seq = r.U64();
   }
 
   COLDSTART_CHECK_EQ(r.U64(), states_.size());
   for (FunctionState& state : states_) {
     COLDSTART_CHECK(state.pods.empty());
-    const uint64_t n = r.U64();
+    const uint64_t n = r.Count(sizeof(uint32_t));
     state.pods.reserve(n);
     for (uint64_t k = 0; k < n; ++k) {
-      state.pods.push_back(&pod_slab_.slot_value(r.U32()));
+      const uint32_t index = r.U32();
+      COLDSTART_CHECK_LT(index, pod_slab_.capacity());
+      state.pods.push_back(&pod_slab_.slot_value(index));
     }
   }
 
   arrival_cursor_.RestoreGuard(r.I64());
-  starter_seq_base_ = r.U64();
-  num_starters_ = r.I64();
-  policy_tick_time_ = r.I64();
-  policy_tick_seq_ = r.U64();
 
-  const std::vector<uint32_t> alive_inflight = RestoreSlabStructure(inflight_, r);
-  for (const uint32_t i : alive_inflight) {
-    InFlightRequest& q = inflight_.slot_value(i);
-    q.pod.index = r.U32();
-    q.pod.gen = r.U32();
-    q.exec_start = r.I64();
-    q.exec_end = r.I64();
-    q.exec_us = r.U32();
-    q.function = static_cast<trace::FunctionId>(r.U64());
-    q.seq = r.U64();
-  }
-  const std::vector<uint32_t> alive_invokes = RestoreSlabStructure(invokes_, r);
-  for (const uint32_t i : alive_invokes) {
-    PendingInvoke& q = invokes_.slot_value(i);
-    q.time = r.I64();
-    q.seq = r.U64();
-    q.function = static_cast<trace::FunctionId>(r.U64());
-    q.delay_exempt = r.U8() != 0;
-  }
-
-  const uint8_t stream_mode = r.U8();
-  const std::string stream_state = r.Str();
-  if (stream_mode == 2) {
-    COLDSTART_CHECK(stream == nullptr);
-  } else {
-    COLDSTART_CHECK(stream != nullptr);
-    arrival_stream_ = std::move(stream);
-    if (stream_mode == 1) {
-      ByteReader sr(stream_state);
-      COLDSTART_CHECK(arrival_stream_->RestoreState(sr));
-      COLDSTART_CHECK(sr.AtEnd());
-    } else {
-      // Determinism-contract fallback: a fresh stream over the same arguments
-      // yields the same chunks; discard the ones the checkpointed run consumed.
-      const int64_t consumed_days = (now + 1) / kDay;
-      for (int64_t d = 0; d < consumed_days; ++d) {
-        arrival_stream_->NextChunk(&chunk_);
-      }
-      chunk_.events.clear();
+  // Re-queue every pending event under its original (time, seq) key, after
+  // checking each field the event's body would trust.
+  const uint64_t num_pending = r.Count(kSavedEventBytes);
+  for (uint64_t k = 0; k < num_pending; ++k) {
+    const SimTime t = r.I64();
+    const uint64_t seq = r.U64();
+    const uint8_t kind = r.U8();
+    Event e{.platform = this};
+    e.flag = r.U8() != 0;
+    e.function = r.U32();
+    e.exec_us = r.U32();
+    e.pod.index = r.U32();
+    e.pod.gen = r.U32();
+    e.arg = r.I64();
+    COLDSTART_CHECK_LT(kind, Event::kNumKinds);
+    e.kind = static_cast<Event::Kind>(kind);
+    COLDSTART_CHECK_GT(t, now);
+    if (e.kind == Event::Kind::kCompletion || e.kind == Event::Kind::kInvoke) {
+      COLDSTART_CHECK_LT(e.function, population_.functions.size());
     }
+    if (e.kind == Event::Kind::kLoadDecrement) {
+      COLDSTART_CHECK(e.arg >= 0 && static_cast<uint64_t>(e.arg) < loads_.size());
+    }
+    if (e.kind == Event::Kind::kCompletion) {
+      COLDSTART_CHECK(pod_slab_.Resolve(e.pod) != nullptr);
+    }
+    if (e.kind == Event::Kind::kPolicyTick) {
+      COLDSTART_CHECK(policy_ != nullptr);
+    }
+    sim_.RestoreEvent(t, seq, e);
+  }
+
+  const bool has_stream = r.U8() != 0;
+  const std::string stream_state = r.Str();
+  COLDSTART_CHECK_EQ(has_stream, stream != nullptr);
+  if (has_stream) {
+    arrival_stream_ = std::move(stream);
+    ByteReader sr(stream_state);
+    COLDSTART_CHECK(arrival_stream_->RestoreState(sr));
+    COLDSTART_CHECK(sr.AtEnd());
     sim_.AttachSource(&arrival_cursor_);
     source_attached_ = true;
-  }
-
-  // --- Rebuild the pending-event queue under the original (time, seq) keys. ---
-  // Push order is free here: the heap orders restored keys as they arrive.
-  for (int64_t day = 0; day < num_starters_; ++day) {
-    if (day * kDay > now) {
-      sim_.RestoreEvent(day * kDay, starter_seq_base_ + static_cast<uint64_t>(day),
-                        [this, day] { OpenDayChunk(day); });
-    }
-  }
-  if (policy_tick_time_ >= 0) {
-    COLDSTART_CHECK(policy_ != nullptr);
-    sim_.RestoreEvent(policy_tick_time_, policy_tick_seq_,
-                      [this] { RunPolicyTick(); });
-  }
-  for (const uint32_t i : alive_pods) {
-    const Pod& p = pod_slab_.slot_value(i);
-    const PodHot& h = pod_hot_[i];
-    if (h.ready_time > now) {
-      // The load-decrement scheduled at the pod's ready time is still pending.
-      sim_.RestoreEvent(
-          h.ready_time, p.ready_decr_seq,
-          MakeLoadDecrementHandler(StateIndex(p.region, CellOf(p.function)),
-                                   spec(p.function).dep_size_kb > 0));
-    }
-    if (h.slots_used == 0) {
-      // Exactly the current-generation keep-alive is live; earlier generations'
-      // events were no-ops and are deliberately not re-queued (only the
-      // non-contractual events_processed counter can tell the difference).
-      COLDSTART_CHECK_GT(p.ka_time, now);
-      sim_.RestoreEvent(p.ka_time, p.ka_seq,
-                        MakeKeepAliveHandler(p.self, p.keepalive_gen));
-    }
-  }
-  for (const uint32_t i : alive_inflight) {
-    const InFlightRequest& q = inflight_.slot_value(i);
-    COLDSTART_CHECK_GT(q.exec_end, now);
-    const SlabHandle reg{i, inflight_.slot_generation(i)};
-    sim_.RestoreEvent(q.exec_end, q.seq, [this, reg] { RunRequestCompletion(reg); });
-  }
-  for (const uint32_t i : alive_invokes) {
-    const PendingInvoke& q = invokes_.slot_value(i);
-    COLDSTART_CHECK_GT(q.time, now);
-    const SlabHandle reg{i, invokes_.slot_generation(i)};
-    sim_.RestoreEvent(q.time, q.seq, [this, reg] { RunInvoke(reg); });
   }
 }
 

@@ -13,6 +13,12 @@
 // pipeline, and bind the request to the pod's ready time. Completions update
 // keep-alive state and fan out workflow children.
 //
+// Everything the platform queues on the simulator is a plain-data
+// Platform::Event (day starts, the policy minute tick, load decrements,
+// keep-alive expiries, request completions, deferred invokes). The queue is
+// therefore the one record of pending work: a checkpoint saves the pending
+// events as they stand and a restore re-queues them under their keys.
+//
 // Region independence: all randomness flows through per-(region, cell) RNG
 // substreams (forked from the seed by region index, then by capacity cell when
 // cells_per_region > 1) and pod/request ids are drawn from per-(region, cell)
@@ -41,7 +47,7 @@
 namespace coldstart::platform {
 
 // A pod instance (warming or warm). Pods live in a Slab<Pod>; `self` is the
-// generation-checked handle in-flight events use to re-find the pod. The three
+// generation-checked handle pending events use to re-find the pod. The three
 // fields the request path touches per event — readiness, free concurrency
 // slots, idle-LRU recency — live in the parallel PodHot array (SoA, indexed by
 // slab slot), not here: FindPodWithSlot scans hot entries without dragging the
@@ -61,15 +67,6 @@ struct Pod {
   // Accumulated warm-idle time (µs): completed idle intervals between busy
   // periods; the final idle tail is added at death. Feeds the cost ledger.
   int64_t idle_us = 0;
-  // Checkpoint bookkeeping: the (time, seq) keys of this pod's pending events,
-  // so a restore can re-queue them under their original total-order positions.
-  // ready_decr_seq is the load-decrement event at ready_time (pending iff
-  // ready_time is in the future); (ka_time, ka_seq) is the keep-alive armed for
-  // keepalive_gen (live iff the pod is idle — earlier generations' events are
-  // stale no-ops and are dropped on restore).
-  uint64_t ready_decr_seq = 0;
-  SimTime ka_time = 0;
-  uint64_t ka_seq = 0;
 };
 
 // The per-pod state the arrival hot path reads and writes, split out of Pod
@@ -141,21 +138,46 @@ class Platform {
   // Writes function records + flushes still-alive pods; call once after the run.
   void Finalize();
 
+  // Every event the platform queues is one of these: plain data, so the
+  // pending ones are the record of pending work a checkpoint writes out, and
+  // a restore re-queues them as they were. operator() dispatches on `kind`;
+  // each kind reads the fields named next to it.
+  struct Event {
+    enum class Kind : uint8_t {
+      kDayStart,       // arg = day: pull that day's arrival chunk.
+      kPolicyTick,     // The policy's minute tick; queues the next one.
+      kLoadDecrement,  // arg = load index, flag = has deps: a pipeline ended.
+      kKeepAlive,      // pod, arg = keep-alive generation: expire if still idle.
+      kCompletion,     // pod, function, exec_us, arg = exec start: request ends.
+      kInvoke,         // function, flag = delay exempt: a deferred arrival.
+    };
+    static constexpr uint8_t kNumKinds = 6;
+
+    Platform* platform = nullptr;
+    Kind kind = Kind::kDayStart;
+    bool flag = false;
+    trace::FunctionId function = 0;
+    uint32_t exec_us = 0;
+    SlabHandle pod = {};
+    int64_t arg = 0;
+
+    void operator()() const;
+  };
+
   // --- Checkpoint support (src/checkpoint/). ---
   // Serializes the platform's full mutable state. Valid only at a quiescent day
-  // boundary (clock at day * kDay - 1: the previous day's chunk fully drained,
-  // every pending event reconstructible from the bookkeeping below) — CHECKed.
-  // The payload covers RNGs, id namespaces, load/pool state, the pod slab (with
-  // per-function pod-list order), the in-flight and pending-invoke registries,
-  // the arrival stream (or a regenerate marker), and the event-seq bookkeeping
-  // needed to rebuild the queue. Policy and sink state are serialized by the
-  // caller (core::Experiment), which owns those objects.
+  // boundary (clock at day * kDay - 1, the previous day's chunk fully drained)
+  // — CHECKed. The payload covers RNGs, id namespaces, load/pool state, the
+  // pod slab (with per-function pod-list order), the arrival stream's state,
+  // and every pending Event with its (time, seq) key, superseded keep-alives
+  // included. A pending queue entry that is not an Event CHECK-fails. Policy
+  // and sink state are serialized by the caller (core::Experiment), which owns
+  // those objects.
   void SaveCheckpointState(ByteWriter& w) const;
   // Mirror of SaveCheckpointState on a freshly constructed platform (with
-  // Options.resuming set). Restores state, re-queues every pending event under
-  // its original (time, seq) key, and attaches `stream` — restoring its cursor
-  // state when the checkpoint captured it, else fast-forwarding it by pulling
-  // and discarding the consumed days. Call after sim.RestoreClock().
+  // Options.resuming set). Restores state, validates each saved Event and
+  // re-queues it under its original (time, seq) key, and attaches `stream`
+  // with its restored state. Call after sim.RestoreClock().
   void RestoreCheckpointState(ByteReader& r,
                               std::unique_ptr<workload::ArrivalStream> stream);
 
@@ -276,45 +298,19 @@ class Platform {
   void OnRequestComplete(SlabHandle handle, SimTime exec_start, SimTime exec_end,
                          uint32_t exec_us, const workload::FunctionSpec& spec);
   void ArmKeepAlive(Pod* pod);
+  // Queues a keep-alive expiry for the pod's next generation at `t`.
+  void ScheduleKeepAlive(Pod* pod, SimTime t);
+  void ScheduleInvoke(SimTime t, trace::FunctionId fid, bool delay_exempt);
+  // Queues `e` at `t` under the next seq; the platform's only ScheduleAt.
+  void Schedule(SimTime t, Event e);
   void KillPod(Pod* pod, SimTime death_time);
   trace::ClusterId PickCluster(const workload::FunctionSpec& spec,
                                const FunctionState& state, trace::RegionId region);
 
-  // --- Checkpoint bookkeeping. ---
-  // Every pending event whose closure carries payload lives in a registry so a
-  // checkpoint can re-materialize it: the queued closure itself is just a
-  // 16-byte (this, handle) pair. One code path — registries are always on, so
-  // checkpointed and plain runs consume identical seq/RNG sequences.
-
-  // A request bound to a pod, completion event pending at `exec_end` with `seq`.
-  struct InFlightRequest {
-    SlabHandle pod;
-    SimTime exec_start = 0;
-    SimTime exec_end = 0;
-    uint32_t exec_us = 0;
-    trace::FunctionId function = 0;
-    uint64_t seq = 0;
-  };
-  // A deferred HandleArrival (workflow child fan-out or admission retry),
-  // pending at `time` with `seq`.
-  struct PendingInvoke {
-    SimTime time = 0;
-    uint64_t seq = 0;
-    trace::FunctionId function = 0;
-    bool delay_exempt = false;
-  };
-
-  // Platform-managed minute tick (replaces sim::SchedulePeriodic so the tick's
-  // (time, seq) is recorded and restorable). Fires OnMinuteTick then reschedules
-  // — same per-tick seq consumption as the Recur closure it replaced.
-  void SchedulePolicyTick(SimTime t);
+  // Event bodies (see Event::operator()).
   void RunPolicyTick();
-  void RunRequestCompletion(SlabHandle reg);
-  void RunInvoke(SlabHandle reg);
-  void ScheduleInvoke(SimTime t, trace::FunctionId fid, bool delay_exempt);
-  sim::Simulator::Handler MakeKeepAliveHandler(SlabHandle handle, uint64_t gen);
-  sim::Simulator::Handler MakeLoadDecrementHandler(size_t load_index,
-                                                   bool has_deps);
+  void RunKeepAlive(SlabHandle handle, uint64_t gen);
+  void RunLoadDecrement(size_t load_index, bool has_deps);
 
   const workload::Population& population_;
   std::vector<workload::RegionProfile> profiles_;
@@ -352,15 +348,11 @@ class Platform {
   std::vector<trace::PodId> next_pod_seq_;      // Per (region, cell) pod-id namespace.
   std::vector<uint64_t> next_request_seq_;      // Per (region, cell) request-id namespace.
 
-  // Checkpoint bookkeeping (see the registry comment above).
   ResourceCostLedger cost_ledger_;        // Per region; order-invariant sums.
-  Slab<InFlightRequest> inflight_;        // Pending completion events.
-  Slab<PendingInvoke> invokes_;           // Pending child fan-outs / retries.
-  uint64_t starter_seq_base_ = 0;         // Seq of day 0's starter event.
-  int64_t num_starters_ = 0;              // Day starters scheduled at attach.
-  SimTime policy_tick_time_ = -1;         // Next tick's (time, seq); -1 = none.
-  uint64_t policy_tick_seq_ = 0;
 };
+
+static_assert(sizeof(Platform::Event) <= InlineHandler::kInlineCapacity,
+              "platform events must be queued without a heap cell");
 
 }  // namespace coldstart::platform
 

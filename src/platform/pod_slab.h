@@ -77,6 +77,13 @@ class Slab {
     Slot& s = slot(h.index);
     return (s.alive && s.gen == h.gen) ? &s.value : nullptr;
   }
+  const T* Resolve(SlabHandle h) const {
+    if (h.index >= capacity_) {
+      return nullptr;
+    }
+    const Slot& s = slot(h.index);
+    return (s.alive && s.gen == h.gen) ? &s.value : nullptr;
+  }
 
   size_t alive_count() const { return alive_; }
   size_t capacity() const { return capacity_; }

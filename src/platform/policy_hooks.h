@@ -121,10 +121,11 @@ class PlatformPolicy {
   // ascending function id (restore it through NextAscendingFid below) —
   // hash iteration order must never leak into the blob; (b) floating-point state
   // travels by bit pattern (common/byte_serde.h); (c) a checkpointable policy
-  // must not schedule its own simulator closures — pending closures cannot be
-  // captured (TimerAwarePrewarmPolicy stays non-checkpointable for exactly that
-  // reason; the platform-managed minute tick and prewarm/keep-alive events are
-  // bookkept by the platform itself and are fine).
+  // must not schedule its own simulator closures — a checkpoint saves the
+  // queue's pending platform events, and one that finds any other pending
+  // entry CHECK-fails. TimerAwarePrewarmPolicy queues closures, so it declines
+  // checkpoints up front; the minute tick and the prewarm/keep-alive events
+  // the platform queues on a policy's behalf are platform events and are fine.
   virtual bool SavePolicyState(std::string* out) const {
     (void)out;
     return false;

@@ -36,6 +36,15 @@ class EventQueue {
   // must not be empty.
   void RunNext();
 
+  // Calls f(time, seq, handler) for every queued event, in heap order (not
+  // key order). Read-only: checkpoint writers inspect pending handlers.
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (const Key& key : keys_) {
+      f(key.time, key.seq, Slot(key.slot));
+    }
+  }
+
  private:
   struct Key {
     SimTime time;
@@ -52,6 +61,9 @@ class EventQueue {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
   InlineHandler& Slot(uint32_t index) {
+    return chunks_[index >> kChunkBits]->slots[index & (kChunkSize - 1)];
+  }
+  const InlineHandler& Slot(uint32_t index) const {
     return chunks_[index >> kChunkBits]->slots[index & (kChunkSize - 1)];
   }
   uint32_t AcquireSlot();

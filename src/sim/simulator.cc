@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <limits>
-#include <memory>
 
 namespace coldstart::sim {
 
@@ -52,37 +51,6 @@ uint64_t Simulator::RunUntil(SimTime until) {
 uint64_t Simulator::RunToCompletion() {
   stop_requested_ = false;
   return RunLoop(std::numeric_limits<SimTime>::max());
-}
-
-void SchedulePeriodic(Simulator& sim, SimTime start, SimDuration period, SimTime end,
-                      std::function<void(int64_t)> fn) {
-  COLDSTART_CHECK_GT(period, 0);
-  if (start >= end) {
-    return;
-  }
-  // A small heap state carries the tick index through the self-rescheduling closure.
-  struct State {
-    Simulator* sim;
-    SimDuration period;
-    SimTime end;
-    int64_t index;
-    std::function<void(int64_t)> fn;
-  };
-  auto state = std::make_shared<State>(State{&sim, period, end, 0, std::move(fn)});
-  // Self-rescheduling functor (a recursive lambda in struct form); the shared_ptr
-  // fits the handler's inline buffer.
-  struct Recur {
-    std::shared_ptr<State> s;
-    void operator()() const {
-      s->fn(s->index);
-      ++s->index;
-      const SimTime next = s->sim->now() + s->period;
-      if (next < s->end) {
-        s->sim->ScheduleAt(next, Recur{s});
-      }
-    }
-  };
-  sim.ScheduleAt(start, Recur{state});
 }
 
 }  // namespace coldstart::sim

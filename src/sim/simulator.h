@@ -15,7 +15,7 @@
 #ifndef COLDSTART_SIM_SIMULATOR_H_
 #define COLDSTART_SIM_SIMULATOR_H_
 
-#include <functional>
+#include <utility>
 
 #include "common/check.h"
 #include "common/inline_handler.h"
@@ -85,9 +85,16 @@ class Simulator {
 
   // --- Checkpoint support (src/checkpoint/) ---------------------------------
   // The next sequence number that ScheduleAt would consume. Checkpoint writers
-  // record it (and bookkeep the seq of every pending event) so a restored run
-  // reproduces the original (time, seq) total order exactly.
+  // record it with every pending event's (time, seq) key so a restored run
+  // reproduces the original total order exactly.
   uint64_t next_seq() const { return next_seq_; }
+
+  // Calls f(time, seq, handler) for every queued event, in no particular
+  // order; an attached EventSource's entries are not visited.
+  template <typename F>
+  void ForEachPending(F&& f) const {
+    queue_.ForEach(std::forward<F>(f));
+  }
 
   // Restores the clock and counters of a checkpointed run. Must be called on a
   // fresh simulator before any RestoreEvent.
@@ -132,11 +139,6 @@ class Simulator {
   uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
 };
-
-// Invokes `fn(bucket_index)` every `period` from `start` until `end` (exclusive).
-// Used for per-minute metric sampling and pool maintenance loops.
-void SchedulePeriodic(Simulator& sim, SimTime start, SimDuration period, SimTime end,
-                      std::function<void(int64_t)> fn);
 
 }  // namespace coldstart::sim
 

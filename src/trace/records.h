@@ -7,6 +7,7 @@
 #define COLDSTART_TRACE_RECORDS_H_
 
 #include <string>
+#include <type_traits>
 
 #include "common/sim_time.h"
 #include "trace/types.h"
@@ -35,11 +36,13 @@ struct ColdStartRecord {
   UserId user_id = 0;
   RegionId region = 0;
   ClusterId cluster = 0;
+  uint8_t pad0[2] = {};          // Named padding: raw-written bytes stay zero.
   uint32_t cold_start_us = 0;    // Total; equals the sum of the four components.
   uint32_t pod_alloc_us = 0;     // Time to get a pod from the pool (or from scratch).
   uint32_t deploy_code_us = 0;   // Download + extract + deploy the function package.
   uint32_t deploy_dep_us = 0;    // Fetch + load dependency layers (0 = no layers).
   uint32_t scheduling_us = 0;    // Networking, routing, scheduling overheads.
+  uint32_t pad1 = 0;
 };
 
 // Function-level monitoring (one row per function).
@@ -49,8 +52,10 @@ struct FunctionRecord {
   RegionId region = 0;
   Runtime runtime = Runtime::kUnknown;
   Trigger primary_trigger = Trigger::kUnknown;
+  uint8_t pad0 = 0;           // Named padding: raw-written bytes stay zero.
   uint16_t trigger_mask = 0;  // Bit i set <=> function has Trigger(i) attached.
   ResourceConfig config = ResourceConfig::k300m128;
+  uint8_t pad1 = 0;
 };
 
 // Pod lifecycle (simulator-internal convenience table; the paper reconstructs the same
@@ -62,6 +67,7 @@ struct PodLifetimeRecord {
   RegionId region = 0;
   ClusterId cluster = 0;
   ResourceConfig config = ResourceConfig::k300m128;
+  uint8_t pad0[5] = {};         // Named padding: raw-written bytes stay zero.
   SimTime cold_start_begin = 0;
   SimTime ready_time = 0;       // cold_start_begin + cold_start_us.
   SimTime last_busy_end = 0;    // End of the last request served.
@@ -69,6 +75,18 @@ struct PodLifetimeRecord {
   uint32_t cold_start_us = 0;
   uint32_t requests_served = 0;
 };
+
+// The four record types above are written as raw bytes (checkpoint tables and
+// the binary trace cache), so none may hold padding whose value is unspecified:
+// every byte is a named member. The sizes are part of the cache format.
+static_assert(std::has_unique_object_representations_v<RequestRecord> &&
+              sizeof(RequestRecord) == 40);
+static_assert(std::has_unique_object_representations_v<ColdStartRecord> &&
+              sizeof(ColdStartRecord) == 48);
+static_assert(std::has_unique_object_representations_v<FunctionRecord> &&
+              sizeof(FunctionRecord) == 16);
+static_assert(std::has_unique_object_representations_v<PodLifetimeRecord> &&
+              sizeof(PodLifetimeRecord) == 56);
 
 // Resource-cost totals for one region, emitted once per region at Finalize by
 // the platform's ResourceCostLedger (simulator-internal; not part of the paper's

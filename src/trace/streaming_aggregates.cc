@@ -208,11 +208,11 @@ void RestoreCost(ByteReader& r, RegionCostRecord& c) {
 
 void StreamingAggregates::SaveState(ByteWriter& w) const {
   w.I64(horizon_);
-  w.U64(function_groups_.size());
+  w.Count(function_groups_.size());
   for (const TriggerGroup g : function_groups_) {
     w.U8(static_cast<uint8_t>(g));
   }
-  w.U64(regions_.size());
+  w.Count(regions_.size());
   for (const RegionSlot& slot : regions_) {
     SaveCounters(w, slot.counters);
     SaveCost(w, slot.cost);
@@ -230,12 +230,14 @@ void StreamingAggregates::SaveState(ByteWriter& w) const {
 void StreamingAggregates::RestoreState(ByteReader& r) {
   COLDSTART_CHECK(regions_.empty() && function_groups_.empty());
   horizon_ = r.I64();
-  const uint64_t num_functions = r.U64();
+  const uint64_t num_functions = r.Count(sizeof(uint8_t));
   function_groups_.reserve(num_functions);
   for (uint64_t i = 0; i < num_functions; ++i) {
     function_groups_.push_back(static_cast<TriggerGroup>(r.U8()));
   }
-  regions_.resize(r.U64());
+  // A region takes at least its counters (7 u64), its cost (3 i128 + i64)
+  // and its function count (u64).
+  regions_.resize(r.Count(7 * 8 + 3 * 16 + 8 + 8));
   for (RegionSlot& slot : regions_) {
     RestoreCounters(r, slot.counters);
     RestoreCost(r, slot.cost);

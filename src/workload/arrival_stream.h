@@ -15,9 +15,8 @@
 //   * Chunk `day` contains exactly the stream's arrivals with
 //     time in [day * kDay, min((day + 1) * kDay, horizon)), sorted by
 //     (time, function) — the same canonical order the eager vector uses.
-//   * Concatenating every chunk of OpenStream(...) reproduces the eager
-//     WorkloadSource::Arrivals(...) vector bit for bit (Arrivals is implemented
-//     as exactly that concatenation).
+//   * Concatenating every chunk of OpenStream(...) gives the eager arrival
+//     vector (DrainArrivalStream below).
 //   * A region-filtered stream yields, per day, the subsequence of the unfiltered
 //     chunk whose functions live in that region, order preserved — the same
 //     partition the sharded experiment runner used to build eagerly.
@@ -83,19 +82,11 @@ class ArrivalStream {
   // Serializes everything NextChunk threads across day boundaries (cursor
   // positions, RNG words, burst machines) so a fresh stream opened over the
   // same construction arguments continues bit-identically after RestoreState.
-  // The default returns false *without writing anything*: the checkpoint then
-  // falls back on the determinism contract above — reopen the stream and
-  // discard the already-consumed days — which is always correct, just O(days)
-  // slower on resume. Implementations must be symmetric: RestoreState consumes
-  // exactly what SaveState wrote, and supports it iff SaveState does.
-  virtual bool SaveState(ByteWriter& w) const {
-    (void)w;
-    return false;
-  }
-  virtual bool RestoreState(ByteReader& r) {
-    (void)r;
-    return false;
-  }
+  // Every stream supports checkpoints: a false return from either aborts the
+  // checkpoint or the resume. Implementations must be symmetric: RestoreState
+  // consumes exactly what SaveState wrote.
+  virtual bool SaveState(ByteWriter& w) const = 0;
+  virtual bool RestoreState(ByteReader& r) = 0;
 };
 
 // Wraps an already-materialized, (time, function)-sorted arrival vector as a

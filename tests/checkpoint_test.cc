@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -27,6 +28,7 @@
 #include "common/atomic_file.h"
 #include "common/byte_serde.h"
 #include "common/crc32.h"
+#include "common/framed_file.h"
 #include "core/coldstart_lab.h"
 
 namespace coldstart {
@@ -219,6 +221,7 @@ TEST_F(CheckpointTest, KillAndResumeSerialFullTrace) {
   EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
   EXPECT_EQ(uninterrupted.cold_start_latency_sum_us,
             resumed.cold_start_latency_sum_us);
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 TEST_F(CheckpointTest, KillAndResumeShardedFullTrace) {
@@ -238,6 +241,7 @@ TEST_F(CheckpointTest, KillAndResumeShardedFullTrace) {
   EXPECT_EQ(resumed.interrupted_at_day, -1);
   EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
   EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 TEST_F(CheckpointTest, KillAndResumeSubRegionShardedFullTrace) {
@@ -260,6 +264,7 @@ TEST_F(CheckpointTest, KillAndResumeSubRegionShardedFullTrace) {
   EXPECT_EQ(resumed.interrupted_at_day, -1);
   EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
   EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 
   // And the whole thing must also match the serial run of the same scenario.
   const ExperimentResult serial = experiment.Run(nullptr, 1);
@@ -279,6 +284,7 @@ TEST_F(CheckpointTest, ShardedResumeHonorsSingleThread) {
                                                          /*num_threads=*/1);
   EXPECT_EQ(resumed.interrupted_at_day, -1);
   EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 TEST_F(CheckpointTest, KillAndResumeStreamingMode) {
@@ -293,6 +299,7 @@ TEST_F(CheckpointTest, KillAndResumeStreamingMode) {
   // The sink state serializes identically: every counter, latency sum, and
   // histogram bucket agrees, not just a summary statistic.
   EXPECT_EQ(StreamingBytes(uninterrupted), StreamingBytes(resumed));
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 TEST_F(CheckpointTest, KillAndResumeWithCheckpointablePolicy) {
@@ -315,6 +322,7 @@ TEST_F(CheckpointTest, KillAndResumeWithCheckpointablePolicy) {
   EXPECT_EQ(resumed.interrupted_at_day, -1);
   EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
   EXPECT_EQ(uninterrupted.prewarm_spawns, resumed.prewarm_spawns);
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 TEST_F(CheckpointTest, KillAndResumeCrossRegionPolicy) {
@@ -344,6 +352,7 @@ TEST_F(CheckpointTest, KillAndResumeCrossRegionPolicy) {
   EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
   EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
   EXPECT_EQ(plain_policy.offloads(), resumed_policy.offloads());
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 // --- Cooperative stop: the SIGINT path, minus the signal. ---
@@ -369,9 +378,32 @@ TEST_F(CheckpointTest, StopFlagInterruptsAtBoundaryAndResumes) {
   const ExperimentResult resumed = experiment.ResumeFrom(dir_, nullptr, 1);
   EXPECT_EQ(resumed.interrupted_at_day, -1);
   EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
 // --- Guard rails: misuse and mismatch fail loudly, up front. ---
+
+TEST_F(CheckpointTest, PolicyClosurePendingAtCheckpointDies) {
+  // A checkpoint saves the platform's pending events from the queue; a
+  // closure a policy queued itself cannot be saved, so a checkpoint taken
+  // while one is pending must abort rather than drop it — even when the
+  // policy claims to be checkpointable.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  struct ClosurePolicy : platform::PlatformPolicy {
+    void OnAttach(platform::Platform& p) override {
+      p.simulator().ScheduleAt(2 * kDay, [] {});
+    }
+    bool SavePolicyState(std::string* out) const override {
+      out->clear();
+      return true;
+    }
+    bool RestorePolicyState(std::string_view) override { return true; }
+  } policy;
+  CheckpointPolicy ckpt;
+  ckpt.dir = dir_;
+  EXPECT_DEATH(Experiment(TinyScenario()).Run(&policy, 1, &ckpt),
+               "not a platform event");
+}
 
 TEST_F(CheckpointTest, NonCheckpointablePolicyDiesUpFront) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
@@ -487,6 +519,61 @@ TEST_F(CheckpointCorruptionTest, BitFlippedManifestDiesNamingFile) {
   MakeCheckpointDir(config);
   FlipBit(checkpoint::ManifestPath(dir_), -3);
   EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "MANIFEST.*corrupt");
+}
+
+// Reads the framed file at `path`, lets `edit` change its magic and payload,
+// and writes it back with a valid CRC, so that only the checks behind the
+// frame can reject it.
+template <typename Edit>
+void Reframe(const std::string& path, Edit edit) {
+  uint64_t magic = 0;
+  {
+    std::ifstream f(path, std::ios::binary);
+    f.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+    ASSERT_TRUE(f.good()) << path;
+  }
+  FrameRead frame = ReadFramedFile(path, magic);
+  ASSERT_EQ(frame.status, FrameStatus::kOk);
+  edit(magic, frame.payload);
+  ASSERT_TRUE(WriteFramedFile(path, magic, {frame.payload}));
+}
+
+// Offset of the request-table count in a full-trace checkpoint without a
+// policy: the meta fields (fingerprint u64, trace mode u8, shard u32, day i64,
+// regions u32, payload size u64), then the clock (now i64, next seq u64,
+// events u64) and the policy flag u8.
+constexpr size_t kRequestCountOffset = 8 + 1 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 1;
+
+TEST_F(CheckpointCorruptionTest, HugeTableCountDiesAtTheBoundCheck) {
+  // A CRC-valid checkpoint whose request count promises ~1e12 records must
+  // die at the count's bound check, before a table is sized from it.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario();
+  MakeCheckpointDir(config);
+  ASSERT_NO_FATAL_FAILURE(Reframe(checkpoint_file_, [](uint64_t&, std::string& payload) {
+    ASSERT_LE(kRequestCountOffset + sizeof(uint64_t), payload.size());
+    uint64_t count = 0;
+    std::memcpy(&count, payload.data() + kRequestCountOffset, sizeof(count));
+    // The offset holds the true count: the table follows it in the payload.
+    ASSERT_GT(count, 0u);
+    ASSERT_LE(count * sizeof(trace::RequestRecord), payload.size());
+    const uint64_t absurd = uint64_t{1} << 40;
+    std::memcpy(payload.data() + kRequestCountOffset, &absurd, sizeof(absurd));
+  }));
+  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_),
+               "element count exceeds the remaining payload");
+}
+
+TEST_F(CheckpointCorruptionTest, PreviousFormatDiesAsBadMagic) {
+  // A checkpoint of the previous layout ("cckpt_v4") is refused by its magic,
+  // naming the file, rather than half-parsed.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ScenarioConfig config = TinyScenario();
+  MakeCheckpointDir(config);
+  ASSERT_NO_FATAL_FAILURE(Reframe(checkpoint_file_, [](uint64_t& magic, std::string&) {
+    magic = 0x34765F74706B6363ull;
+  }));
+  EXPECT_DEATH(Experiment(config).ResumeFrom(dir_), "ckpt_day.*corrupt.*bad magic");
 }
 
 // --- Satellite: a corrupted trace cache falls back to a fresh run. ---

@@ -59,6 +59,29 @@ TEST(InlineHandlerTest, OversizedCapturesFallBackToHeap) {
   EXPECT_EQ(out, 7);
 }
 
+TEST(InlineHandlerTest, TargetReturnsTheCallableOfThatTypeOnly) {
+  struct Small {
+    int value;
+    void operator()() const {}
+  };
+  struct Large {
+    char bytes[64];
+    void operator()() const {}
+  };
+  InlineHandler small(Small{7});
+  ASSERT_NE(small.target<Small>(), nullptr);
+  EXPECT_EQ(small.target<Small>()->value, 7);
+  EXPECT_EQ(small.target<Large>(), nullptr);
+  Large big{};
+  big.bytes[63] = 9;
+  InlineHandler large(big);  // Heap-stored: target still reads it.
+  EXPECT_FALSE(large.is_inline());
+  ASSERT_NE(large.target<Large>(), nullptr);
+  EXPECT_EQ(large.target<Large>()->bytes[63], 9);
+  EXPECT_EQ(large.target<Small>(), nullptr);
+  EXPECT_EQ(InlineHandler().target<Small>(), nullptr);
+}
+
 TEST(InlineHandlerTest, MoveTransfersOwnership) {
   auto flag = std::make_shared<int>(0);
   InlineHandler a([flag] { ++*flag; });

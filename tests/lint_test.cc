@@ -247,6 +247,28 @@ TEST(SerdePair, TypeMismatchIsFlagged) {
   EXPECT_NE(r.diagnostics[0].message.find("reads U64"), std::string::npos);
 }
 
+TEST(SerdePair, CountPairsWithCountOnly) {
+  // A bounded element count is its own op: writing it as a plain U64 and
+  // reading it through Count (or the reverse) is an asymmetry.
+  const char* kPair =
+      "void T::SaveState(ByteWriter& w) const {\n"
+      "  w.Count(v_.size());\n"
+      "}\n"
+      "void T::RestoreState(ByteReader& r) {\n"
+      "  v_.resize(r.Count(8));\n"
+      "}\n";
+  EXPECT_TRUE(Lint("src/core/ok.cc", kPair).diagnostics.empty());
+  const Result r = Lint("src/core/bad.cc",
+                        "void T::SaveState(ByteWriter& w) const {\n"
+                        "  w.U64(v_.size());\n"
+                        "}\n"
+                        "void T::RestoreState(ByteReader& r) {\n"
+                        "  v_.resize(r.Count(8));\n"
+                        "}\n");
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_NE(r.diagnostics[0].message.find("reads Count"), std::string::npos);
+}
+
 TEST(SerdePair, WriteReadPrefixesPairToo) {
   const Result r = Lint("src/checkpoint/bad.cc",
                         "void WriteFrame(ByteWriter& w) {\n"

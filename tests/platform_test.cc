@@ -2,6 +2,10 @@
 // autoscaling, and workflow fan-out. Small hand-built scenarios with exact assertions.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "platform/coldstart_pipeline.h"
 #include "platform/platform.h"
 #include "trace/trace_store.h"
@@ -511,6 +515,110 @@ TEST(PlatformTest, CountersBitIdenticalAcrossRuns) {
                       world.store.pods().back().death_time};
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Checkpointing the event queue. ---
+
+// The (time, seq) keys of every queued event.
+std::set<std::pair<SimTime, uint64_t>> PendingKeys(const sim::Simulator& sim) {
+  std::set<std::pair<SimTime, uint64_t>> keys;
+  sim.ForEachPending([&keys](SimTime t, uint64_t seq, const InlineHandler&) {
+    keys.emplace(t, seq);
+  });
+  return keys;
+}
+
+TEST(PlatformCheckpointTest, EveryPendingEventKindSurvivesARestore) {
+  // Defers every asynchronous arrival by five minutes; stateless, and with it
+  // attached the platform runs its minute tick.
+  struct DelayAsync : PlatformPolicy {
+    SimDuration AdmissionDelay(const FunctionSpec&, SimTime,
+                               const RegionLoadState&) override {
+      return 5 * kMinute;
+    }
+  } policy;
+  // f0 serves at -50 s and again at -40 s from the day boundary on one pod, so
+  // the keep-alive armed after the first request is superseded and both are
+  // pending. f1 cold-starts 1 ms before the boundary: its load decrement is
+  // pending. f2 runs for five minutes: its completion is pending. f3 is
+  // asynchronous, so the policy turns it into a pending invoke.
+  std::vector<FunctionSpec> specs(4, BasicSpec());
+  for (uint32_t i = 0; i < specs.size(); ++i) {
+    specs[i].id = i;
+  }
+  specs[2].exec_median_us = 300e6;
+  specs[3].primary_trigger = Trigger::kObs;
+  workload::Population pop;
+  pop.functions = specs;
+  pop.num_users = 1;
+  pop.region_begin = {0, static_cast<uint32_t>(specs.size())};
+  workload::Calendar::Options copts;
+  copts.trace_days = 3;
+  const workload::Calendar cal(copts);
+  const std::vector<workload::RegionProfile> profiles = {
+      workload::DefaultRegionProfiles()[0]};
+  const std::vector<workload::ArrivalEvent> arrivals = {
+      {kDay - 2 * kMinute, 2},
+      {kDay - kMinute, 3},
+      {kDay - 50 * kSecond, 0},
+      {kDay - 40 * kSecond, 0},
+      {kDay - kMillisecond, 1},
+      {kDay + kHour, 0},
+  };
+  auto stream = [&] {
+    return std::make_unique<workload::MaterializedArrivalStream>(
+        arrivals, workload::NumDayChunks(cal));
+  };
+  Platform::Options opts;
+  opts.seed = 23;
+
+  sim::Simulator sim;
+  trace::TraceStore store;
+  Platform platform(pop, profiles, cal, sim, store, opts, &policy);
+  platform.AttachArrivalStream(stream());
+  sim.RunUntil(kDay - 1);
+
+  std::map<Platform::Event::Kind, int> kinds;
+  std::map<uint32_t, int> keep_alives_per_slot;
+  sim.ForEachPending([&](SimTime, uint64_t, const InlineHandler& h) {
+    const Platform::Event* e = h.target<Platform::Event>();
+    ASSERT_NE(e, nullptr);
+    ++kinds[e->kind];
+    if (e->kind == Platform::Event::Kind::kKeepAlive) {
+      ++keep_alives_per_slot[e->pod.index];
+    }
+  });
+  ASSERT_EQ(kinds.size(), Platform::Event::kNumKinds);
+  EXPECT_EQ(kinds[Platform::Event::Kind::kDayStart], 2);
+  ASSERT_EQ(keep_alives_per_slot.size(), 1u);
+  EXPECT_EQ(keep_alives_per_slot.begin()->second, 2);  // Live + superseded.
+
+  // The checkpoint: simulator clock, platform state, and the sink's tables.
+  ByteWriter w;
+  platform.SaveCheckpointState(w);
+  sim::Simulator resumed_sim;
+  resumed_sim.RestoreClock(sim.now(), sim.next_seq(), sim.events_processed());
+  trace::TraceStore resumed_store;
+  resumed_store.RestoreTables(store.requests(), store.cold_starts(),
+                              store.functions(), store.pods(), store.horizon());
+  Platform::Options resume_opts = opts;
+  resume_opts.resuming = true;
+  Platform resumed(pop, profiles, cal, resumed_sim, resumed_store, resume_opts,
+                   &policy);
+  ByteReader r(w.data());
+  resumed.RestoreCheckpointState(r, stream());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(PendingKeys(resumed_sim), PendingKeys(sim));
+
+  sim.RunUntil(cal.horizon());
+  platform.Finalize();
+  store.Seal();
+  resumed_sim.RunUntil(cal.horizon());
+  resumed.Finalize();
+  resumed_store.Seal();
+  EXPECT_EQ(resumed_store.requests().size(), arrivals.size());
+  EXPECT_EQ(trace::Digest(resumed_store), trace::Digest(store));
+  EXPECT_EQ(resumed_sim.events_processed(), sim.events_processed());
 }
 
 // --- Pod slab. ---

@@ -101,25 +101,19 @@ TEST(SimulatorTest, EventCountAccumulates) {
   EXPECT_EQ(sim.events_processed(), 7u);
 }
 
-TEST(SchedulePeriodicTest, FiresWithIndexUntilEnd) {
+TEST(SimulatorTest, ForEachPendingVisitsEveryQueuedKey) {
   Simulator sim;
-  std::vector<int64_t> indices;
-  std::vector<SimTime> times;
-  SchedulePeriodic(sim, 0, 10, 35, [&](int64_t i) {
-    indices.push_back(i);
-    times.push_back(sim.now());
+  sim.ScheduleAt(30, [] {});
+  sim.ScheduleAt(10, [] {});
+  sim.ScheduleAt(20, [] {});
+  sim.RunUntil(15);
+  std::vector<std::pair<SimTime, uint64_t>> keys;
+  sim.ForEachPending([&keys](SimTime t, uint64_t seq, const InlineHandler& h) {
+    EXPECT_TRUE(static_cast<bool>(h));
+    keys.emplace_back(t, seq);
   });
-  sim.RunToCompletion();
-  EXPECT_EQ(indices, (std::vector<int64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(times, (std::vector<SimTime>{0, 10, 20, 30}));
-}
-
-TEST(SchedulePeriodicTest, EmptyRangeNoFiring) {
-  Simulator sim;
-  int fired = 0;
-  SchedulePeriodic(sim, 10, 5, 10, [&](int64_t) { ++fired; });
-  sim.RunToCompletion();
-  EXPECT_EQ(fired, 0);
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<std::pair<SimTime, uint64_t>>{{20, 2}, {30, 0}}));
 }
 
 // --- (time, seq) ordering across time gaps, reentrancy and restore. ---
