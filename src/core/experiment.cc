@@ -133,8 +133,7 @@ std::string BuildCheckpointPayload(const sim::Simulator& sim,
   w.U64(sim.events_processed());
   if (policy != nullptr) {
     std::string blob;
-    COLDSTART_CHECK(policy->SavePolicyState(&blob) &&
-                    "policy is not checkpointable (SavePolicyState returned false)");
+    COLDSTART_CHECK(policy->SavePolicyState(&blob));
     w.U8(1);
     w.Str(blob);
   } else {
@@ -512,12 +511,6 @@ ExperimentResult Experiment::RunShards(platform::PlatformPolicy* policy,
   std::optional<CheckpointCommitter> committer;
   if (checkpoint != nullptr) {
     COLDSTART_CHECK(!checkpoint->dir.empty());
-    if (policy != nullptr) {
-      // Fail at attach time, not at the first day boundary hours in.
-      std::string probe;
-      COLDSTART_CHECK(policy->SavePolicyState(&probe) &&
-                      "policy is not checkpointable (SavePolicyState)");
-    }
     committer.emplace(*checkpoint, fingerprint,
                       static_cast<uint8_t>(config_.trace_mode),
                       static_cast<uint32_t>(regions), plan.sharded, k);

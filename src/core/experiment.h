@@ -55,9 +55,8 @@ namespace coldstart::core {
 // `every_n_days` completed days: a kill at any instant loses at most the work
 // since the last committed checkpoint, and ResumeFrom() continues the run to a
 // final trace bit-identical to the uninterrupted one. Works for every plan
-// (one checkpoint stream per shard, merged manifest). Requires a
-// checkpointable policy (SavePolicyState) when a policy is attached —
-// enforced loudly up front, not at the first checkpoint.
+// (one checkpoint stream per shard, merged manifest) and every policy: each
+// one saves its learned state through SavePolicyState (policy_hooks.h).
 struct CheckpointPolicy {
   int every_n_days = 1;
   std::string dir;

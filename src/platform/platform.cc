@@ -162,6 +162,9 @@ void Platform::Event::operator()() const {
     case Kind::kInvoke:
       p.HandleArrival(function, flag);
       return;
+    case Kind::kPrewarm:
+      p.RunPrewarm(function, arg);
+      return;
   }
 }
 
@@ -739,6 +742,18 @@ void Platform::SpawnPrewarmedPod(FunctionId function, RegionId region,
   ScheduleKeepAlive(pod, hot(*pod).ready_time + initial_keep_alive);
 }
 
+void Platform::SchedulePrewarm(SimTime t, FunctionId function, SimDuration keep_alive) {
+  COLDSTART_CHECK_LT(function, population_.functions.size());
+  COLDSTART_CHECK_GT(keep_alive, 0);
+  Schedule(t, {.kind = Event::Kind::kPrewarm, .function = function, .arg = keep_alive});
+}
+
+void Platform::RunPrewarm(FunctionId function, SimDuration keep_alive) {
+  if (!HasAvailablePod(function)) {
+    SpawnPrewarmedPod(function, population_.functions[function].region, keep_alive);
+  }
+}
+
 namespace {
 
 // Slab structure serialization: capacity, the LIFO freelist, and each slot's
@@ -1038,10 +1053,17 @@ void Platform::RestoreCheckpointState(
     PodHot& h = pod_hot_[i];
     p.self = SlabHandle{i, pod_slab_.slot_generation(i)};
     p.id = static_cast<trace::PodId>(r.U64());
-    p.function = static_cast<trace::FunctionId>(r.U64());
-    p.region = static_cast<trace::RegionId>(r.U32());
+    const uint64_t function = r.U64();
+    const uint32_t region = r.U32();
     p.cluster = static_cast<trace::ClusterId>(r.U32());
-    p.config = static_cast<trace::ResourceConfig>(r.U8());
+    const uint8_t config = r.U8();
+    // These index the per-function, per-region and per-config tables.
+    COLDSTART_CHECK_LT(function, population_.functions.size());
+    COLDSTART_CHECK_LT(region, profiles_.size());
+    COLDSTART_CHECK_LT(config, trace::kNumResourceConfigs);
+    p.function = static_cast<trace::FunctionId>(function);
+    p.region = static_cast<trace::RegionId>(region);
+    p.config = static_cast<trace::ResourceConfig>(config);
     p.cold_start_begin = r.I64();
     h.ready_time = r.I64();
     p.cold_start_us = r.U32();
@@ -1084,8 +1106,12 @@ void Platform::RestoreCheckpointState(
     COLDSTART_CHECK_LT(kind, Event::kNumKinds);
     e.kind = static_cast<Event::Kind>(kind);
     COLDSTART_CHECK_GT(t, now);
-    if (e.kind == Event::Kind::kCompletion || e.kind == Event::Kind::kInvoke) {
+    if (e.kind == Event::Kind::kCompletion || e.kind == Event::Kind::kInvoke ||
+        e.kind == Event::Kind::kPrewarm) {
       COLDSTART_CHECK_LT(e.function, population_.functions.size());
+    }
+    if (e.kind == Event::Kind::kPrewarm) {
+      COLDSTART_CHECK_GT(e.arg, 0);
     }
     if (e.kind == Event::Kind::kLoadDecrement) {
       COLDSTART_CHECK(e.arg >= 0 && static_cast<uint64_t>(e.arg) < loads_.size());

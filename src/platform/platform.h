@@ -15,9 +15,10 @@
 //
 // Everything the platform queues on the simulator is a plain-data
 // Platform::Event (day starts, the policy minute tick, load decrements,
-// keep-alive expiries, request completions, deferred invokes). The queue is
-// therefore the one record of pending work: a checkpoint saves the pending
-// events as they stand and a restore re-queues them under their keys.
+// keep-alive expiries, request completions, deferred invokes, policy-timed
+// prewarms). The queue is therefore the one record of pending work: a
+// checkpoint saves the pending events as they stand and a restore re-queues
+// them under their keys.
 //
 // Region independence: all randomness flows through per-(region, cell) RNG
 // substreams (forked from the seed by region index, then by capacity cell when
@@ -150,8 +151,9 @@ class Platform {
       kKeepAlive,      // pod, arg = keep-alive generation: expire if still idle.
       kCompletion,     // pod, function, exec_us, arg = exec start: request ends.
       kInvoke,         // function, flag = delay exempt: a deferred arrival.
+      kPrewarm,        // function, arg = keep-alive µs: a policy-timed prewarm.
     };
-    static constexpr uint8_t kNumKinds = 6;
+    static constexpr uint8_t kNumKinds = 7;
 
     Platform* platform = nullptr;
     Kind kind = Kind::kDayStart;
@@ -187,6 +189,12 @@ class Platform {
   // `initial_keep_alive` is how long the idle prewarmed pod survives awaiting traffic.
   void SpawnPrewarmedPod(trace::FunctionId function, trace::RegionId region,
                          SimDuration initial_keep_alive);
+  // The deferred form of SpawnPrewarmedPod: queues a prewarm event at `t`
+  // (>= now) under the next seq. Unless the function then has an available
+  // pod, the event spawns one in the function's home region that survives
+  // `keep_alive` (> 0) awaiting traffic. Being a platform event, a pending
+  // prewarm is saved with the queue by a checkpoint.
+  void SchedulePrewarm(SimTime t, trace::FunctionId function, SimDuration keep_alive);
   // Capacity-coupled accessors: a single pool/load per region only exists when
   // cells_per_region == 1 (CHECKed). Policies that need them declare
   // is_function_local() == false, which pins their runs to one cell.
@@ -199,7 +207,6 @@ class Platform {
   int alive_pod_count(trace::FunctionId function) const;
   const std::vector<workload::RegionProfile>& profiles() const { return profiles_; }
   const workload::Population& population() const { return population_; }
-  sim::Simulator& simulator() { return sim_; }
 
   // --- Stats. ---
   // User-visible cold starts per region (excludes prewarm spawns).
@@ -311,6 +318,7 @@ class Platform {
   void RunPolicyTick();
   void RunKeepAlive(SlabHandle handle, uint64_t gen);
   void RunLoadDecrement(size_t load_index, bool has_deps);
+  void RunPrewarm(trace::FunctionId function, SimDuration keep_alive);
 
   const workload::Population& population_;
   std::vector<workload::RegionProfile> profiles_;

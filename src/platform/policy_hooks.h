@@ -110,32 +110,31 @@ class PlatformPolicy {
   virtual void OnMinuteTick(SimTime now) { (void)now; }
 
   // --- Checkpoint traits (src/checkpoint/). ---
-  // Serializes every piece of learned state into `out` so a resumed run
-  // continues bit-identically. Returning false (the default) declares the
-  // policy non-checkpointable: a checkpointed Run then fails loudly up front
-  // instead of writing checkpoints that silently drop policy state.
+  // Every policy checkpoints. SavePolicyState serializes every piece of
+  // learned state into `out` so a resumed run continues bit-identically; the
+  // default suits a stateless policy: it writes nothing. Overrides return true
+  // (the bool is kept for wrappers that forward it) and the callers CHECK it.
   //
   // Implementer contract (statically checked: coldstart_lint's policy-hooks
   // rule flags stateful subclasses missing these overrides, and its
   // unordered-iter rule polices (a)): (a) serialize per-function state in
   // ascending function id (restore it through NextAscendingFid below) —
   // hash iteration order must never leak into the blob; (b) floating-point state
-  // travels by bit pattern (common/byte_serde.h); (c) a checkpointable policy
-  // must not schedule its own simulator closures — a checkpoint saves the
-  // queue's pending platform events, and one that finds any other pending
-  // entry CHECK-fails. TimerAwarePrewarmPolicy queues closures, so it declines
-  // checkpoints up front; the minute tick and the prewarm/keep-alive events
-  // the platform queues on a policy's behalf are platform events and are fine.
+  // travels by bit pattern (common/byte_serde.h); (c) a policy reaches the
+  // event queue only through platform events — the minute tick, and the
+  // prewarms and keep-alives it asks the platform for (SpawnPrewarmedPod,
+  // SchedulePrewarm). A checkpoint saves the queue's pending platform events,
+  // so there is nothing else a policy could leave pending.
   virtual bool SavePolicyState(std::string* out) const {
-    (void)out;
-    return false;
+    out->clear();
+    return true;
   }
   // Restores state written by SavePolicyState onto a freshly constructed,
-  // identically configured instance (after OnAttach). Returns false when
-  // unsupported; must accept exactly what SavePolicyState produces.
+  // identically configured instance (after OnAttach); must accept exactly
+  // what SavePolicyState produces. The default accepts only the empty blob.
   virtual bool RestorePolicyState(std::string_view blob) {
-    (void)blob;
-    return false;
+    COLDSTART_CHECK(blob.empty());
+    return true;
   }
 };
 

@@ -111,9 +111,7 @@ bool CompositePolicy::SavePolicyState(std::string* out) const {
   w.U64(policies_.size());
   for (const auto& p : policies_) {
     std::string sub;
-    if (!p->SavePolicyState(&sub)) {
-      return false;
-    }
+    COLDSTART_CHECK(p->SavePolicyState(&sub));
     w.Str(sub);
   }
   *out = w.Take();
@@ -124,10 +122,7 @@ bool CompositePolicy::RestorePolicyState(std::string_view blob) {
   ByteReader r(blob);
   COLDSTART_CHECK_EQ(r.U64(), policies_.size());
   for (auto& p : policies_) {
-    const std::string sub = r.Str();
-    if (!p->RestorePolicyState(sub)) {
-      return false;
-    }
+    COLDSTART_CHECK(p->RestorePolicyState(r.Str()));
   }
   COLDSTART_CHECK(r.AtEnd());
   return true;

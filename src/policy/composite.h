@@ -6,7 +6,8 @@
 //
 // Combination rules: observation hooks go to everyone; AdmissionDelay takes the
 // maximum requested delay; KeepAliveFor and RouteColdStart take the first sub-policy
-// that deviates from the default (list order = priority).
+// that deviates from the default (list order = priority). Every sub-policy
+// checkpoints (policy_hooks.h), so the composite does too.
 #ifndef COLDSTART_POLICY_COMPOSITE_H_
 #define COLDSTART_POLICY_COMPOSITE_H_
 
@@ -43,8 +44,7 @@ class CompositePolicy : public platform::PlatformPolicy {
   void OnParentRequestStart(const workload::FunctionSpec& parent, SimTime now) override;
   void OnMinuteTick(SimTime now) override;
 
-  // Checkpointable exactly when every sub-policy is: the blob is the sub-policy
-  // blobs length-prefixed in list order.
+  // The blob is the sub-policy blobs, length-prefixed in list order.
   bool SavePolicyState(std::string* out) const override;
   bool RestorePolicyState(std::string_view blob) override;
 

@@ -19,10 +19,10 @@
 //   - predicted IAT short -> extend (or shrink) keep-alive to headroom x IAT,
 //     the dynamic keep-alive move, but gated on forecast confidence.
 //
-// Unlike TimerAwarePrewarmPolicy this policy is fully checkpointable: it
-// never schedules its own simulator closures — pending prewarms live in a
-// fid-indexed table walked from the platform-managed minute tick, so the whole
-// learned state serializes (policy_hooks.h contract (c)).
+// Unlike TimerAwarePrewarmPolicy, which queues each prewarm as a platform
+// event, this policy keeps its pending prewarms in a fid-indexed table walked
+// from the platform-managed minute tick, so they travel in its own blob
+// (policy_hooks.h contract (c)).
 //
 // Both hooks run once per request, so every forecaster answer is a
 // constant-time read: the derived state (histogram, ring sum, modal bucket and

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/byte_serde.h"
 #include "common/check.h"
 
 namespace coldstart::policy {
@@ -49,6 +50,34 @@ void PoolPredictionPolicy::OnMinuteTick(SimTime) {
           .SetTarget(target);
     }
   }
+}
+
+bool PoolPredictionPolicy::SavePolicyState(std::string* out) const {
+  // Demand counted since the last tick is state too: cold starts after a
+  // day's last tick are still in it when the boundary checkpoint is taken.
+  ByteWriter w;
+  w.U64(predictors_.size());
+  for (size_t i = 0; i < predictors_.size(); ++i) {
+    w.Str(predictors_[i]->name());
+    predictors_[i]->SaveState(w);
+    w.F64(demand_this_minute_[i]);
+  }
+  *out = w.Take();
+  return true;
+}
+
+bool PoolPredictionPolicy::RestorePolicyState(std::string_view blob) {
+  COLDSTART_CHECK(platform_ != nullptr);
+  ByteReader r(blob);
+  COLDSTART_CHECK_EQ(r.U64(), predictors_.size());
+  for (size_t i = 0; i < predictors_.size(); ++i) {
+    // Identity check: the blob must come from the same predictor kind.
+    COLDSTART_CHECK(r.Str() == predictors_[i]->name());
+    predictors_[i]->RestoreState(r);
+    demand_this_minute_[i] = r.F64();
+  }
+  COLDSTART_CHECK(r.AtEnd());
+  return true;
 }
 
 }  // namespace coldstart::policy

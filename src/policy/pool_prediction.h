@@ -3,6 +3,8 @@
 // Observes per-(region, config) pod-start demand each minute and retargets the
 // inactive-pod pools with a forecaster, instead of the static targets of the baseline:
 // "directly predicts required resources" rather than predicting invocations first.
+// A checkpoint carries each predictor's name and state, and the demand counted
+// since the last tick.
 #ifndef COLDSTART_POLICY_POOL_PREDICTION_H_
 #define COLDSTART_POLICY_POOL_PREDICTION_H_
 
@@ -15,10 +17,6 @@
 
 namespace coldstart::policy {
 
-// Predictor state is an opaque SeriesPredictor per (region, config) with no
-// serialization surface, so the policy is deliberately non-checkpointable:
-// Run(..., &checkpoint) rejects it up front (policy_hooks.h).
-// LINT-ALLOW(policy-hooks): SeriesPredictor implementations are not serializable; Run() refuses to checkpoint this policy up front
 class PoolPredictionPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
@@ -35,6 +33,10 @@ class PoolPredictionPolicy : public platform::PlatformPolicy {
   void OnColdStart(const workload::FunctionSpec& spec, SimTime now,
                    SimDuration total) override;
   void OnMinuteTick(SimTime now) override;
+
+  // Restore CHECKs that the predictor count and names match this instance's.
+  bool SavePolicyState(std::string* out) const override;
+  bool RestorePolicyState(std::string_view blob) override;
 
   // One predictor per (region, config) with no cross-region coupling: shards cleanly.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {

@@ -2,14 +2,17 @@
 //
 // Small online forecasters over per-minute demand series. All of them observe one
 // value per bucket and answer "how much will the next bucket need"; the pool policy
-// translates that into pool targets.
+// translates that into pool targets. Each one checkpoints its whole state
+// (SaveState/RestoreState) so the pool policy can.
 #ifndef COLDSTART_POLICY_PREDICTORS_H_
 #define COLDSTART_POLICY_PREDICTORS_H_
 
 #include <cstdint>
-#include <string>
 #include <memory>
+#include <string>
 #include <vector>
+
+#include "common/byte_serde.h"
 
 namespace coldstart::policy {
 
@@ -19,6 +22,12 @@ class SeriesPredictor {
   virtual void Observe(double value) = 0;
   virtual double Predict() const = 0;
   virtual const char* name() const = 0;
+  // Serializes the whole state (doubles by bit pattern) so a predictor
+  // restored onto an identically configured instance continues bit for bit.
+  // Restore CHECKs the ring size against the configuration and each cursor
+  // and fill count against the ring.
+  virtual void SaveState(ByteWriter& w) const = 0;
+  virtual void RestoreState(ByteReader& r) = 0;
 };
 
 // Flat moving average over the last `window` observations.
@@ -28,6 +37,8 @@ class MovingAveragePredictor : public SeriesPredictor {
   void Observe(double value) override;
   double Predict() const override;
   const char* name() const override { return "moving-average"; }
+  void SaveState(ByteWriter& w) const override;
+  void RestoreState(ByteReader& r) override;
 
  private:
   std::vector<double> ring_;
@@ -44,6 +55,8 @@ class SeasonalNaivePredictor : public SeriesPredictor {
   void Observe(double value) override;
   double Predict() const override;
   const char* name() const override { return "seasonal-naive"; }
+  void SaveState(ByteWriter& w) const override;
+  void RestoreState(ByteReader& r) override;
 
  private:
   std::vector<double> season_;
@@ -59,6 +72,8 @@ class HoltWintersPredictor : public SeriesPredictor {
   void Observe(double value) override;
   double Predict() const override;
   const char* name() const override { return "holt-winters"; }
+  void SaveState(ByteWriter& w) const override;
+  void RestoreState(ByteReader& r) override;
 
  private:
   std::vector<double> seasonal_;

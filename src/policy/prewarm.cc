@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/byte_serde.h"
 #include "common/check.h"
@@ -14,6 +13,15 @@ TimerAwarePrewarmPolicy::TimerAwarePrewarmPolicy(Options options) : options_(opt
 
 ProfilePrewarmPolicy::ProfilePrewarmPolicy() : ProfilePrewarmPolicy(Options{}) {}
 ProfilePrewarmPolicy::ProfilePrewarmPolicy(Options options) : options_(options) {}
+
+namespace {
+constexpr size_t kMinutesPerDay = 1440;
+}
+
+void TimerAwarePrewarmPolicy::OnAttach(platform::Platform& platform) {
+  platform_ = &platform;
+  history_.assign(platform.population().functions.size(), FunctionHistory{});
+}
 
 void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimTime now) {
   COLDSTART_CHECK(platform_ != nullptr);
@@ -54,20 +62,64 @@ void TimerAwarePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimT
   if (until_next <= 0) {
     return;
   }
-  platform::Platform& p = *platform_;
-  const trace::FunctionId fid = spec.id;
-  const trace::RegionId region = spec.region;
   const SimDuration survival = 2 * options_.lead_time + 10 * kSecond;
-  p.simulator().ScheduleAfter(until_next, [&p, fid, region, survival] {
-    if (!p.HasAvailablePod(fid)) {
-      p.SpawnPrewarmedPod(fid, region, survival);
-    }
-  });
+  platform_->SchedulePrewarm(now + until_next, spec.id, survival);
   ++prewarms_issued_;
+}
+
+bool TimerAwarePrewarmPolicy::SavePolicyState(std::string* out) const {
+  // Seen functions only, in ascending function id.
+  const auto seen = static_cast<uint64_t>(
+      std::count_if(history_.begin(), history_.end(),
+                    [](const FunctionHistory& h) { return h.last_arrival >= 0; }));
+  ByteWriter w;
+  w.I64(prewarms_issued_);
+  w.U64(seen);
+  for (size_t fid = 0; fid < history_.size(); ++fid) {
+    const FunctionHistory& h = history_[fid];
+    if (h.last_arrival >= 0) {
+      w.U64(fid);
+      w.I64(h.last_arrival);
+      w.F64(h.period_estimate);
+      w.I64(h.stable_count);
+    }
+  }
+  *out = w.Take();
+  return true;
+}
+
+bool TimerAwarePrewarmPolicy::RestorePolicyState(std::string_view blob) {
+  COLDSTART_CHECK(platform_ != nullptr && prewarms_issued_ == 0);
+  const size_t num_functions = history_.size();
+  ByteReader r(blob);
+  prewarms_issued_ = r.I64();
+  const uint64_t n = r.U64();
+  int64_t prev = -1;
+  for (uint64_t i = 0; i < n; ++i) {
+    const trace::FunctionId fid = platform::NextAscendingFid(r.U64(), prev);
+    COLDSTART_CHECK_LT(fid, num_functions);
+    FunctionHistory& h = history_[fid];
+    h.last_arrival = r.I64();
+    h.period_estimate = r.F64();
+    h.stable_count = static_cast<int>(r.I64());
+    // Only seen functions are written; no arrival, estimate or count is negative.
+    COLDSTART_CHECK_GE(h.last_arrival, 0);
+    COLDSTART_CHECK(h.period_estimate >= 0 && h.stable_count >= 0);
+  }
+  COLDSTART_CHECK(r.AtEnd());
+  return true;
+}
+
+void ProfilePrewarmPolicy::OnAttach(platform::Platform& platform) {
+  platform_ = &platform;
+  profiles_.assign(platform.population().functions.size(), Profile{});
 }
 
 void ProfilePrewarmPolicy::OnArrival(const workload::FunctionSpec& spec, SimTime now) {
   Profile& prof = profiles_[spec.id];
+  if (prof.per_minute.empty()) {
+    prof.per_minute.assign(kMinutesPerDay, 0.f);
+  }
   const int minute = static_cast<int>((TimeOfDay(now)) / kMinute);
   prof.per_minute[static_cast<size_t>(minute)] += 1.0f;
 }
@@ -83,18 +135,18 @@ void ProfilePrewarmPolicy::OnMinuteTick(SimTime now) {
   if (day < 1) {
     return;  // Need at least one day of history before the profile means anything.
   }
-  const int next_minute = static_cast<int>(((TimeOfDay(now)) / kMinute + 1) % 1440);
+  const auto next_minute =
+      static_cast<size_t>((TimeOfDay(now) / kMinute + 1) % kMinutesPerDay);
   int budget = options_.max_prewarms_per_tick;
   for (auto it = watch_list_.begin(); it != watch_list_.end() && budget > 0;) {
     const trace::FunctionId fid = *it;
-    const auto prof_it = profiles_.find(fid);
-    if (prof_it == profiles_.end()) {
+    const Profile& prof = profiles_[fid];
+    if (prof.per_minute.empty()) {
       it = watch_list_.erase(it);
       continue;
     }
     const double expected =
-        prof_it->second.per_minute[static_cast<size_t>(next_minute)] /
-        static_cast<double>(day);
+        prof.per_minute[next_minute] / static_cast<double>(day);
     if (expected >= options_.min_expected_arrivals && !platform_->HasAvailablePod(fid)) {
       platform_->SpawnPrewarmedPod(fid, platform_->spec(fid).region,
                                    options_.prewarm_keep_alive);
@@ -106,35 +158,33 @@ void ProfilePrewarmPolicy::OnMinuteTick(SimTime now) {
 }
 
 bool ProfilePrewarmPolicy::SavePolicyState(std::string* out) const {
-  // Sorted by function id: unordered_map iteration order must not reach the
-  // blob (watch_list_ is a std::set, already ordered).
-  std::vector<trace::FunctionId> fids;
-  fids.reserve(profiles_.size());
-  // LINT-ALLOW(unordered-iter): keys are copied out and sorted before any byte is written
-  for (const auto& [fid, prof] : profiles_) {
-    fids.push_back(fid);
-  }
-  std::sort(fids.begin(), fids.end());
+  // Arrived functions only, in ascending function id (watch_list_ is a
+  // std::set, already ordered).
+  const auto arrived = static_cast<uint64_t>(
+      std::count_if(profiles_.begin(), profiles_.end(),
+                    [](const Profile& p) { return !p.per_minute.empty(); }));
   ByteWriter w;
   w.I64(prewarms_issued_);
   w.U64(watch_list_.size());
   for (const trace::FunctionId fid : watch_list_) {
     w.U64(fid);
   }
-  w.U64(fids.size());
-  for (const trace::FunctionId fid : fids) {
-    const Profile& prof = profiles_.at(fid);
-    w.U64(fid);
-    w.I64(prof.days_observed);
-    w.Raw(prof.per_minute.data(), prof.per_minute.size() * sizeof(float));
+  w.U64(arrived);
+  for (size_t fid = 0; fid < profiles_.size(); ++fid) {
+    const Profile& prof = profiles_[fid];
+    if (!prof.per_minute.empty()) {
+      w.U64(fid);
+      w.I64(prof.days_observed);
+      w.Raw(prof.per_minute.data(), kMinutesPerDay * sizeof(float));
+    }
   }
   *out = w.Take();
   return true;
 }
 
 bool ProfilePrewarmPolicy::RestorePolicyState(std::string_view blob) {
-  COLDSTART_CHECK(platform_ != nullptr && profiles_.empty() && watch_list_.empty());
-  const size_t num_functions = platform_->population().functions.size();
+  COLDSTART_CHECK(platform_ != nullptr && watch_list_.empty());
+  const size_t num_functions = profiles_.size();
   ByteReader r(blob);
   prewarms_issued_ = r.I64();
   const uint64_t watched = r.U64();
@@ -151,7 +201,8 @@ bool ProfilePrewarmPolicy::RestorePolicyState(std::string_view blob) {
     COLDSTART_CHECK_LT(fid, num_functions);
     Profile& prof = profiles_[fid];
     prof.days_observed = static_cast<int>(r.I64());
-    r.Raw(prof.per_minute.data(), prof.per_minute.size() * sizeof(float));
+    prof.per_minute.resize(kMinutesPerDay);
+    r.Raw(prof.per_minute.data(), kMinutesPerDay * sizeof(float));
   }
   COLDSTART_CHECK(r.AtEnd());
   return true;

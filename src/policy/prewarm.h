@@ -4,26 +4,26 @@
 // are strictly periodic, so the estimate converges after two arrivals) and spawns a
 // prewarmed pod shortly before the next predicted fire when the period exceeds the
 // keep-alive window. This directly targets the Fig. 14 diagonal: timer functions that
-// cold-start on every invocation.
+// cold-start on every invocation. The spawn is a platform prewarm event
+// (Platform::SchedulePrewarm), so a pending one is saved with the queue.
 //
 // ProfilePrewarmPolicy: watches functions that recently cold-started and keeps a pod
 // warm when the learned minute-of-day profile predicts an imminent invocation —
 // the "pre-warm pods with popular configurations" direction of §3.3.
+//
+// Both keep their per-function state dense, indexed by function id and sized
+// in OnAttach, and checkpoint it in ascending function id.
 #ifndef COLDSTART_POLICY_PREWARM_H_
 #define COLDSTART_POLICY_PREWARM_H_
 
 #include <memory>
 #include <set>
-#include <unordered_map>
+#include <vector>
 
 #include "platform/platform.h"
 
 namespace coldstart::policy {
 
-// Prediction state (history_) feeds self-scheduled simulator closures that no
-// serializer can capture, so this policy is deliberately non-checkpointable:
-// Run(..., &checkpoint) rejects it up front (policy_hooks.h).
-// LINT-ALLOW(policy-hooks): prewarm closures live in the event queue; the policy cannot checkpoint by design and Run() refuses it up front
 class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
  public:
   struct Options {
@@ -36,8 +36,12 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
   TimerAwarePrewarmPolicy();
   explicit TimerAwarePrewarmPolicy(Options options);
 
-  void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
+  void OnAttach(platform::Platform& platform) override;
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;
+
+  // The per-function period estimates of seen functions, in ascending id.
+  bool SavePolicyState(std::string* out) const override;
+  bool RestorePolicyState(std::string_view blob) override;
 
   // Per-function period estimates only: shards cleanly by region.
   std::unique_ptr<platform::PlatformPolicy> CloneForShard() const override {
@@ -56,14 +60,14 @@ class TimerAwarePrewarmPolicy : public platform::PlatformPolicy {
 
  private:
   struct FunctionHistory {
-    SimTime last_arrival = -1;
+    SimTime last_arrival = -1;  // -1 while the function is unseen.
     double period_estimate = 0;  // µs.
     int stable_count = 0;
   };
 
   Options options_;
   platform::Platform* platform_ = nullptr;
-  std::unordered_map<trace::FunctionId, FunctionHistory> history_;
+  std::vector<FunctionHistory> history_;  // Indexed by function id.
   int64_t prewarms_issued_ = 0;
 };
 
@@ -78,7 +82,7 @@ class ProfilePrewarmPolicy : public platform::PlatformPolicy {
   ProfilePrewarmPolicy();
   explicit ProfilePrewarmPolicy(Options options);
 
-  void OnAttach(platform::Platform& platform) override { platform_ = &platform; }
+  void OnAttach(platform::Platform& platform) override;
   void OnArrival(const workload::FunctionSpec& spec, SimTime now) override;
   void OnColdStart(const workload::FunctionSpec& spec, SimTime now,
                    SimDuration total) override;
@@ -100,14 +104,15 @@ class ProfilePrewarmPolicy : public platform::PlatformPolicy {
 
  private:
   struct Profile {
-    // Smoothed arrivals per minute-of-day (1440 bins), updated online.
-    std::vector<float> per_minute = std::vector<float>(1440, 0.f);
+    // Smoothed arrivals per minute-of-day (1440 bins), updated online; empty
+    // until the function's first arrival.
+    std::vector<float> per_minute;
     int days_observed = 0;
   };
 
   Options options_;
   platform::Platform* platform_ = nullptr;
-  std::unordered_map<trace::FunctionId, Profile> profiles_;
+  std::vector<Profile> profiles_;  // Indexed by function id.
   // Cold-started recently. Ordered: OnMinuteTick walks it under a prewarm
   // budget, so which functions win the budget must not depend on hash order.
   std::set<trace::FunctionId> watch_list_;

@@ -355,6 +355,58 @@ TEST_F(CheckpointTest, KillAndResumeCrossRegionPolicy) {
   EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
 }
 
+TEST_F(CheckpointTest, KillAndResumeTimerAwarePrewarmSubRegionSharded) {
+  // Timer-aware prewarms are platform events, so the ones pending at the
+  // boundary are saved with the queue. Function-local, so 10 threads over 2
+  // cells per region run K=2 capacity-cell shards, each with its own stream.
+  ScenarioConfig config = TinyScenario();
+  config.cells_per_region = 2;
+  const Experiment experiment(config);
+
+  policy::TimerAwarePrewarmPolicy plain_policy;
+  const ExperimentResult uninterrupted = experiment.Run(&plain_policy, 10);
+  ASSERT_GT(plain_policy.prewarms_issued(), 0);
+
+  policy::TimerAwarePrewarmPolicy killed_policy;
+  RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/10, &killed_policy);
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+  EXPECT_TRUE(manifest.sharded);
+  EXPECT_EQ(manifest.shards_per_region, 2u);
+
+  policy::TimerAwarePrewarmPolicy resumed_policy;
+  const ExperimentResult resumed = experiment.ResumeFrom(dir_, &resumed_policy, 10);
+  EXPECT_EQ(resumed.interrupted_at_day, -1);
+  EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
+  EXPECT_EQ(uninterrupted.prewarm_spawns, resumed.prewarm_spawns);
+  EXPECT_EQ(plain_policy.prewarms_issued(), resumed_policy.prewarms_issued());
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
+}
+
+TEST_F(CheckpointTest, KillAndResumePoolPredictionRegionSharded) {
+  // The predictors' rings and the demand counted since the last minute tick
+  // travel in the policy blob; each region shard checkpoints its own.
+  const ScenarioConfig config = TinyScenario();
+  const Experiment experiment(config);
+
+  policy::PoolPredictionPolicy plain_policy;
+  const ExperimentResult uninterrupted = experiment.Run(&plain_policy, 5);
+
+  policy::PoolPredictionPolicy killed_policy;
+  RunAndKillAtDay(config, dir_, /*kill_day=*/1, /*num_threads=*/5, &killed_policy);
+  checkpoint::Manifest manifest;
+  ASSERT_TRUE(checkpoint::ReadManifest(dir_, &manifest));
+  EXPECT_TRUE(manifest.sharded);
+  EXPECT_EQ(manifest.shards_per_region, 1u);
+
+  policy::PoolPredictionPolicy resumed_policy;
+  const ExperimentResult resumed = experiment.ResumeFrom(dir_, &resumed_policy, 5);
+  EXPECT_EQ(resumed.interrupted_at_day, -1);
+  EXPECT_EQ(trace::Digest(uninterrupted.store), trace::Digest(resumed.store));
+  EXPECT_EQ(uninterrupted.visible_cold_starts, resumed.visible_cold_starts);
+  EXPECT_EQ(uninterrupted.events_processed, resumed.events_processed);
+}
+
 // --- Cooperative stop: the SIGINT path, minus the signal. ---
 
 TEST_F(CheckpointTest, StopFlagInterruptsAtBoundaryAndResumes) {
@@ -382,41 +434,6 @@ TEST_F(CheckpointTest, StopFlagInterruptsAtBoundaryAndResumes) {
 }
 
 // --- Guard rails: misuse and mismatch fail loudly, up front. ---
-
-TEST_F(CheckpointTest, PolicyClosurePendingAtCheckpointDies) {
-  // A checkpoint saves the platform's pending events from the queue; a
-  // closure a policy queued itself cannot be saved, so a checkpoint taken
-  // while one is pending must abort rather than drop it — even when the
-  // policy claims to be checkpointable.
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  struct ClosurePolicy : platform::PlatformPolicy {
-    void OnAttach(platform::Platform& p) override {
-      p.simulator().ScheduleAt(2 * kDay, [] {});
-    }
-    bool SavePolicyState(std::string* out) const override {
-      out->clear();
-      return true;
-    }
-    bool RestorePolicyState(std::string_view) override { return true; }
-  } policy;
-  CheckpointPolicy ckpt;
-  ckpt.dir = dir_;
-  EXPECT_DEATH(Experiment(TinyScenario()).Run(&policy, 1, &ckpt),
-               "not a platform event");
-}
-
-TEST_F(CheckpointTest, NonCheckpointablePolicyDiesUpFront) {
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const ScenarioConfig config = TinyScenario();
-  const Experiment experiment(config);
-  // TimerAwarePrewarmPolicy keeps per-function timer state it cannot
-  // serialize; asking for checkpoints with it must die before day 1, not at
-  // the first checkpoint hours into a real run.
-  policy::TimerAwarePrewarmPolicy policy;
-  CheckpointPolicy ckpt;
-  ckpt.dir = dir_;
-  EXPECT_DEATH(Experiment(config).Run(&policy, 1, &ckpt), "not checkpointable");
-}
 
 TEST_F(CheckpointTest, ResumeWithMismatchedConfigDies) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "platform/coldstart_pipeline.h"
@@ -367,13 +368,9 @@ TEST(PlatformTest, PodsAliveAtHorizonAreCensored) {
 TEST(PlatformTest, PrewarmedPodAbsorbsColdStart) {
   struct PrewarmOnce : PlatformPolicy {
     void OnAttach(Platform& p) override {
-      platform = &p;
       // Prewarm function 0 at t=30min, long before the arrival at t=60min.
-      p.simulator().ScheduleAt(30 * kMinute, [this] {
-        platform->SpawnPrewarmedPod(0, 0, kHour);
-      });
+      p.SchedulePrewarm(30 * kMinute, 0, kHour);
     }
-    Platform* platform = nullptr;
   } policy;
   TinyWorld world({BasicSpec()}, 1, &policy);
   world.Run({{kHour, 0}});
@@ -541,7 +538,8 @@ TEST(PlatformCheckpointTest, EveryPendingEventKindSurvivesARestore) {
   // the keep-alive armed after the first request is superseded and both are
   // pending. f1 cold-starts 1 ms before the boundary: its load decrement is
   // pending. f2 runs for five minutes: its completion is pending. f3 is
-  // asynchronous, so the policy turns it into a pending invoke.
+  // asynchronous, so the policy turns it into a pending invoke. A prewarm of
+  // f1 is queued directly.
   std::vector<FunctionSpec> specs(4, BasicSpec());
   for (uint32_t i = 0; i < specs.size(); ++i) {
     specs[i].id = i;
@@ -576,6 +574,8 @@ TEST(PlatformCheckpointTest, EveryPendingEventKindSurvivesARestore) {
   trace::TraceStore store;
   Platform platform(pop, profiles, cal, sim, store, opts, &policy);
   platform.AttachArrivalStream(stream());
+  // A prewarm of f1 an hour past the boundary, after its pod has expired.
+  platform.SchedulePrewarm(kDay + kHour, 1, kMinute);
   sim.RunUntil(kDay - 1);
 
   std::map<Platform::Event::Kind, int> kinds;
@@ -619,6 +619,78 @@ TEST(PlatformCheckpointTest, EveryPendingEventKindSurvivesARestore) {
   EXPECT_EQ(resumed_store.requests().size(), arrivals.size());
   EXPECT_EQ(trace::Digest(resumed_store), trace::Digest(store));
   EXPECT_EQ(resumed_sim.events_processed(), sim.events_processed());
+}
+
+// A world whose one alive pod, at the first day boundary, serves function
+// 613 of 1000, with its checkpoint payload.
+struct SavedPodWorld {
+  SavedPodWorld() : world(Specs(), 2) {
+    world.platform->AttachArrivalStream(Stream());
+    world.sim.RunUntil(kDay - 1);
+    world.platform->SaveCheckpointState(payload);
+  }
+  static std::vector<FunctionSpec> Specs() {
+    std::vector<FunctionSpec> specs(1000, BasicSpec());
+    for (uint32_t i = 0; i < specs.size(); ++i) {
+      specs[i].id = i;
+    }
+    return specs;
+  }
+  std::unique_ptr<workload::ArrivalStream> Stream() const {
+    return std::make_unique<workload::MaterializedArrivalStream>(
+        std::vector<workload::ArrivalEvent>{{kDay - 30 * kSecond, 613}},
+        workload::NumDayChunks(world.calendar));
+  }
+  // Restores `bytes` onto a fresh resuming platform over the same world.
+  void Restore(const std::string& bytes) const {
+    sim::Simulator sim;
+    sim.RestoreClock(world.sim.now(), world.sim.next_seq(),
+                     world.sim.events_processed());
+    trace::TraceStore store;
+    Platform::Options opts;
+    opts.seed = 17;
+    opts.resuming = true;
+    Platform platform(world.pop, world.profiles, world.calendar, sim, store, opts);
+    ByteReader r(bytes);
+    platform.RestoreCheckpointState(r, Stream());
+    EXPECT_TRUE(r.AtEnd());
+  }
+
+  TinyWorld world;
+  ByteWriter payload;
+};
+
+TEST(PlatformCheckpointDeathTest, RestoredPodFunctionBeyondPopulationDies) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const SavedPodWorld saved;
+  std::string bytes = saved.payload.data();
+  saved.Restore(bytes);  // The control: the unpatched payload restores.
+  // The pod record's function field is the one place 613 occurs as a u64.
+  const uint64_t fid = 613;
+  const std::string needle(reinterpret_cast<const char*>(&fid), sizeof(fid));
+  const size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
+  const uint64_t population = 1000;
+  bytes.replace(at, sizeof(population),
+                reinterpret_cast<const char*>(&population), sizeof(population));
+  EXPECT_DEATH(saved.Restore(bytes), "\\(function\\) < \\(population_");
+}
+
+TEST(PlatformCheckpointDeathTest, PolicyClosurePendingAtCheckpointDies) {
+  // A checkpoint saves the platform's pending events from the queue; a
+  // closure queued on the simulator directly cannot be saved, so a checkpoint
+  // taken while one is pending must abort rather than drop it.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  TinyWorld world({BasicSpec()}, 2);
+  world.platform->AttachArrivalStream(
+      std::make_unique<workload::MaterializedArrivalStream>(
+          std::vector<workload::ArrivalEvent>{{kHour, 0}},
+          workload::NumDayChunks(world.calendar)));
+  world.sim.ScheduleAt(kDay + kHour, [] {});
+  world.sim.RunUntil(kDay - 1);
+  ByteWriter w;
+  EXPECT_DEATH(world.platform->SaveCheckpointState(w), "not a platform event");
 }
 
 // --- Pod slab. ---

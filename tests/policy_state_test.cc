@@ -1,6 +1,6 @@
-// Policy-state blobs of the per-function policies (forecast prewarm, dynamic
-// keep-alive, workflow prewarm, profile prewarm): the format is pinned, and
-// corrupt blobs are rejected loudly.
+// Policy-state blobs of the learning policies (forecast prewarm, dynamic
+// keep-alive, workflow prewarm, profile prewarm, timer-aware prewarm, pool
+// prediction): the format is pinned, and corrupt blobs are rejected loudly.
 //
 // A checkpoint outlives the binary that wrote it, so the bytes each
 // SavePolicyState produces after a fixed arrival script are pinned by hash: a
@@ -8,8 +8,8 @@
 // user's resume. The death tests cover the blobs a reader must never accept
 // silently: repeated or descending function ids (which would overwrite an
 // earlier entry), ids outside the population, pending fires and times that no
-// run can produce, and forecaster rings whose live samples or cursor are
-// impossible.
+// run can produce, forecaster rings whose live samples or cursor are
+// impossible, and pool predictors of another kind, count or ring position.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +30,9 @@ using platform::PlatformPolicy;
 using policy::DynamicKeepAlivePolicy;
 using policy::ForecastPrewarmPolicy;
 using policy::InterArrivalForecaster;
+using policy::PoolPredictionPolicy;
 using policy::ProfilePrewarmPolicy;
+using policy::TimerAwarePrewarmPolicy;
 using policy::WorkflowPrewarmPolicy;
 using workload::ArrivalEvent;
 using workload::FunctionSpec;
@@ -139,22 +141,27 @@ std::string ScriptBlobs(PlatformPolicy* policy) {
   return mid + end;
 }
 
-// Restores `blob` into a ProfilePrewarmPolicy attached to a platform over the
-// script's population — it checks ids against the population, so it needs
-// one — and returns its re-saved bytes.
-std::string RestoreAndSaveProfile(const std::string& blob) {
+// Restores `blob` into a `Policy` attached to a platform over the script's
+// population — these policies size their state in OnAttach and check ids
+// against the population — and returns its re-saved bytes.
+template <typename Policy>
+std::string RestoreAndSaveAttached(const std::string& blob) {
   const PolicyScript script = MakePolicyScript();
   const workload::Calendar cal;
   const auto profiles =
       std::vector<workload::RegionProfile>{workload::DefaultRegionProfiles()[0]};
   sim::Simulator sim;
   trace::TraceStore store;
-  ProfilePrewarmPolicy policy;
+  Policy policy;
   platform::Platform platform(script.pop, profiles, cal, sim, store, {}, &policy);
   EXPECT_TRUE(policy.RestorePolicyState(blob));
   std::string out;
   EXPECT_TRUE(policy.SavePolicyState(&out));
   return out;
+}
+
+std::string RestoreAndSaveProfile(const std::string& blob) {
+  return RestoreAndSaveAttached<ProfilePrewarmPolicy>(blob);
 }
 
 // --- Pinned format: the bytes a checkpoint carries today. --------------------
@@ -189,6 +196,21 @@ TEST(PolicyStateFormatTest, ProfileBlobPinned) {
   EXPECT_GT(policy.prewarms_issued(), 0);
   EXPECT_EQ(blobs.size(), 138864u);
   EXPECT_EQ(HashString(blobs), 9527772334323168350u);
+}
+
+TEST(PolicyStateFormatTest, TimerAwareBlobPinned) {
+  TimerAwarePrewarmPolicy policy;
+  const std::string blobs = ScriptBlobs(&policy);
+  EXPECT_GT(policy.prewarms_issued(), 0);
+  EXPECT_EQ(blobs.size(), 800u);
+  EXPECT_EQ(HashString(blobs), 18322066127039264235u);
+}
+
+TEST(PolicyStateFormatTest, PoolPredictionBlobPinned) {
+  PoolPredictionPolicy policy;
+  const std::string blobs = ScriptBlobs(&policy);
+  EXPECT_EQ(blobs.size(), 162164u);
+  EXPECT_EQ(HashString(blobs), 3227247499283437897u);
 }
 
 // --- Corrupt blobs die loudly. ----------------------------------------------
@@ -418,6 +440,82 @@ TEST_F(PolicyStateDeathTest, ProfileFidBeyondPopulationDies) {
   // The script population has 12 functions: ids 0..11.
   EXPECT_DEATH(RestoreAndSaveProfile(ProfileBlob({12}, {})), "num_functions");
   EXPECT_DEATH(RestoreAndSaveProfile(ProfileBlob({}, {3, 12})), "num_functions");
+}
+
+// A timer-aware prewarm blob: one periodic history per id in `seen`.
+std::string TimerBlob(const std::vector<uint64_t>& seen) {
+  ByteWriter w;
+  w.I64(4);  // prewarms_issued
+  w.U64(seen.size());
+  for (const uint64_t fid : seen) {
+    w.U64(fid);
+    w.I64(kHour);               // last_arrival
+    w.F64(5.0 * kMinute);       // period_estimate
+    w.I64(3);                   // stable_count
+  }
+  return w.Take();
+}
+
+TEST(PolicyStateRestoreTest, TimerWellFormedBlobRoundTrips) {
+  const std::string blob = TimerBlob({0, 4, 11});
+  EXPECT_EQ(RestoreAndSaveAttached<TimerAwarePrewarmPolicy>(blob), blob);
+}
+
+TEST_F(PolicyStateDeathTest, TimerRepeatedOrDescendingFidDies) {
+  EXPECT_DEATH(RestoreAndSaveAttached<TimerAwarePrewarmPolicy>(TimerBlob({4, 4})),
+               "raw\\) > prev");
+  EXPECT_DEATH(RestoreAndSaveAttached<TimerAwarePrewarmPolicy>(TimerBlob({4, 2})),
+               "raw\\) > prev");
+}
+
+TEST_F(PolicyStateDeathTest, TimerFidBeyondPopulationDies) {
+  // The script population has 12 functions: ids 0..11.
+  EXPECT_DEATH(RestoreAndSaveAttached<TimerAwarePrewarmPolicy>(TimerBlob({3, 12})),
+               "num_functions");
+}
+
+// A pool-prediction blob for the script's one region: `count` default
+// (seasonal-naive, one-day season) predictors named `name`, each a season in
+// with its cursor at `pos`.
+std::string PoolBlob(uint64_t count, const char* name, uint64_t pos) {
+  constexpr uint64_t kSeason = 1440;
+  ByteWriter w;
+  w.U64(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    w.Str(name);
+    w.Count(kSeason);
+    for (uint64_t m = 0; m < kSeason; ++m) {
+      w.F64(m == 540 ? 2.0 : 0.0);
+    }
+    w.U64(pos);            // pos_
+    w.U64(kSeason + pos);  // observed_
+    w.F64(1.0);            // last_
+    w.F64(3.0);            // demand_this_minute_
+  }
+  return w.Take();
+}
+
+TEST(PolicyStateRestoreTest, PoolWellFormedBlobRoundTrips) {
+  const std::string blob = PoolBlob(trace::kNumResourceConfigs, "seasonal-naive", 17);
+  EXPECT_EQ(RestoreAndSaveAttached<PoolPredictionPolicy>(blob), blob);
+}
+
+TEST_F(PolicyStateDeathTest, PoolWrongPredictorCountDies) {
+  EXPECT_DEATH(RestoreAndSaveAttached<PoolPredictionPolicy>(
+                   PoolBlob(trace::kNumResourceConfigs - 1, "seasonal-naive", 17)),
+               "predictors_.size\\(\\)");
+}
+
+TEST_F(PolicyStateDeathTest, PoolWrongPredictorNameDies) {
+  EXPECT_DEATH(RestoreAndSaveAttached<PoolPredictionPolicy>(
+                   PoolBlob(trace::kNumResourceConfigs, "holt-winters", 17)),
+               "name\\(\\)");
+}
+
+TEST_F(PolicyStateDeathTest, PoolCursorPastTheRingDies) {
+  EXPECT_DEATH(RestoreAndSaveAttached<PoolPredictionPolicy>(
+                   PoolBlob(trace::kNumResourceConfigs, "seasonal-naive", 1440)),
+               "pos_ < season_.size\\(\\)");
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 // policy_test.cc with exact, input-controlled expectations: ring wraparound,
 // partially-filled windows, sum drift over long streams, season boundaries,
 // warm-up and fixed-point behavior, bucket geometry, confidence gating,
-// bit-exact serde round trips, and a randomized check of the forecaster's
+// bit-exact serde round trips (every predictor and the forecaster), and a randomized check of the forecaster's
 // incrementally maintained answers against a brute-force rescan of its ring.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -149,6 +150,84 @@ TEST(MakePredictorTest, NamesMatchKinds) {
     ASSERT_NE(p, nullptr);
     EXPECT_STREQ(p->name(), kind);
   }
+}
+
+// --- SeriesPredictor checkpoints. ---------------------------------------------
+
+// A demand-like series: a daily-ish wave plus deterministic jitter.
+double SeriesValue(int i) {
+  return 6.0 + 4.0 * std::sin(0.37 * i) + static_cast<double>((i * 7919) % 13) / 4.0;
+}
+
+// Feeds `observed` values into `original`, saves it, restores the bytes into
+// `restored` (fresh, same configuration), then continues both: the restored
+// copy re-saves the same bytes and predicts bit for bit what the original does.
+void ExpectRoundTripContinues(SeriesPredictor& original, SeriesPredictor& restored,
+                              int observed) {
+  int i = 0;
+  for (; i < observed; ++i) {
+    original.Observe(SeriesValue(i));
+  }
+  ByteWriter w;
+  original.SaveState(w);
+  ByteReader r(w.data());
+  restored.RestoreState(r);
+  EXPECT_TRUE(r.AtEnd());
+  ByteWriter again;
+  restored.SaveState(again);
+  EXPECT_EQ(again.data(), w.data());
+  for (const int end = i + 100; i < end; ++i) {
+    ASSERT_EQ(restored.Predict(), original.Predict()) << "after " << i;
+    original.Observe(SeriesValue(i));
+    restored.Observe(SeriesValue(i));
+  }
+  EXPECT_EQ(restored.Predict(), original.Predict());
+}
+
+TEST(SeriesPredictorSerdeTest, MovingAverageRoundTrips) {
+  for (const int observed : {0, 5, 13}) {  // Empty, partly filled, wrapped mid-ring.
+    MovingAveragePredictor original(8);
+    MovingAveragePredictor restored(8);
+    ExpectRoundTripContinues(original, restored, observed);
+  }
+}
+
+TEST(SeriesPredictorSerdeTest, SeasonalNaiveRoundTrips) {
+  for (const int observed : {10, 37}) {  // Pre-season fill, mid-ring past a season.
+    SeasonalNaivePredictor original(24);
+    SeasonalNaivePredictor restored(24);
+    ExpectRoundTripContinues(original, restored, observed);
+  }
+}
+
+TEST(SeriesPredictorSerdeTest, HoltWintersRoundTrips) {
+  for (const int observed : {10, 37}) {  // Pre-season fill, mid-ring past a season.
+    HoltWintersPredictor original(24, 0.3, 0.05, 0.15);
+    HoltWintersPredictor restored(24, 0.3, 0.05, 0.15);
+    ExpectRoundTripContinues(original, restored, observed);
+  }
+}
+
+TEST(SeriesPredictorSerdeTest, RestoreChecksRingSizeAndCursors) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  MovingAveragePredictor eight(8);
+  ByteWriter w;
+  eight.SaveState(w);
+  MovingAveragePredictor nine(9);
+  ByteReader r(w.data());
+  EXPECT_DEATH(nine.RestoreState(r), "ring.size\\(\\)");
+
+  // A partly filled ring whose cursor is not at the fill.
+  ByteWriter bad;
+  bad.Count(8);
+  for (int i = 0; i < 8; ++i) {
+    bad.F64(1.0);
+  }
+  bad.U64(2);  // next_
+  bad.U64(3);  // filled_
+  bad.F64(3.0);
+  ByteReader br(bad.data());
+  EXPECT_DEATH(eight.RestoreState(br), "next_ == filled_");
 }
 
 // --- InterArrivalForecaster: histogram and confidence math. ------------------
